@@ -15,13 +15,10 @@
 //	restore_journal    undo-journal Mark/RollbackTo rewind of a 64-word
 //	                   working set (ns/restore)
 //
-// Two further measurements time whole campaigns wall-clock:
+// Three further measurements time whole campaigns wall-clock:
 //
 //	scaling            the same campaign at 1, 2, 4 and NumCPU workers,
 //	                   reporting per-count trials/sec and scaling_efficiency
-//	sched_speedup_4w   the 4-worker campaign under the legacy shard
-//	                   scheduler divided by the same under the work-stealing
-//	                   scheduler (>1 means stealing is faster)
 //	early_stop         the campaign under each termination mode — off
 //	                   (full-horizon), taint, and converge (the default,
 //	                   taint + trajectory re-convergence certificate) —
@@ -92,7 +89,6 @@ type metrics struct {
 	NsRestoreSnapshot  float64 `json:"ns_per_restore_snapshot"`
 	NsRestoreJournal   float64 `json:"ns_per_restore_journal"`
 	AllocsPerTrial     float64 `json:"allocs_per_trial"`
-	SchedSpeedup4W     float64 `json:"sched_speedup_4w"`
 	MeanCyclesPerTrial float64 `json:"mean_cycles_per_trial"`
 	EarlyStopSpeedup   float64 `json:"early_stop_speedup"`
 	ConvergeSpeedup    float64 `json:"converge_speedup"`
@@ -269,34 +265,6 @@ func main() {
 			nw, wall, speedup, speedup/float64(nw))
 	}
 
-	// Scheduler speedup: the legacy shard engine vs the work-stealing
-	// engine, both at 4 workers on the same campaign. The shard engine
-	// re-steps the program prefix once per worker; the steal engine's
-	// single reachability pass eliminates that redundancy, so the ratio
-	// exceeds 1 even without free CPUs. Each engine's wall is the best
-	// of two runs: a min discards one-sided scheduler/GC noise, which a
-	// single sample of a ratio of wall-clocks amplifies.
-	bestWall := func(c core.Config) float64 {
-		best, _ := campaignWall(c)
-		if again, _ := campaignWall(c); again < best {
-			best = again
-		}
-		return best
-	}
-	shardCfg := cfg
-	shardCfg.Workers = 4
-	shardCfg.Sched = core.SchedShard
-	shardWall := bestWall(shardCfg)
-	stealCfg := cfg
-	stealCfg.Workers = 4
-	stealCfg.Sched = core.SchedSteal
-	stealWall := bestWall(stealCfg)
-	if stealWall > 0 {
-		rep.Metrics.SchedSpeedup4W = shardWall / stealWall
-	}
-	fmt.Fprintf(os.Stderr, "pipebench: sched_speedup_4w   shard %.2fs / steal %.2fs = %.2fx\n",
-		shardWall, stealWall, rep.Metrics.SchedSpeedup4W)
-
 	// Early-stop effectiveness, and the equivalence oracle. The same
 	// campaign runs under every termination mode — the full-horizon loop,
 	// taint shortcuts, and convergence termination (the default) — counting
@@ -309,7 +277,7 @@ func main() {
 		var steps, trials atomic.Int64
 		c := cfg
 		c.EarlyStop = mode
-		c.OnTrialSteps = func(s int) {
+		c.OnTrialResolved = func(_ core.ResolveKind, s int) {
 			steps.Add(int64(s))
 			trials.Add(1)
 		}
@@ -361,7 +329,8 @@ func main() {
 	// campaign's count of informative trials it must scale its trial
 	// budget by 1/(1-f). prove_speedup is that equal-precision full
 	// campaign's wall-clock divided by the prover campaign's, each the
-	// best of two runs (min-of-2, as in sched_speedup_4w). The trial
+	// best of two runs: a min discards one-sided scheduler/GC noise, which
+	// a single sample of a ratio of wall-clocks amplifies. The trial
 	// budget is tripled for this measurement so per-checkpoint fixed
 	// costs (pilot, golden continuations) — paid identically by both
 	// modes — do not wash out the per-trial difference. Under the
@@ -404,9 +373,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pipebench: prove              proven fraction %.3f; speedup not measured\n", frac)
 	}
 
-	// Rewind mechanisms, measured on a warmed machine. The snapshot path
-	// copies the whole bit-store; the journal path rolls back a 64-word
-	// dirty set, the shape of a short trial.
+	// Rewind primitives, measured on a warmed machine. A full Restore
+	// copies the whole bit-store, as a checkpoint-image restore does; the
+	// journal rolls back a 64-word dirty set, the shape of a short trial.
 	m = newMachine()
 	for i := 0; i < 2000 && !m.Halted(); i++ {
 		m.Step()

@@ -53,17 +53,8 @@ type Config struct {
 	// and Workers:N are bit-identical.
 	Workers int //pipelint:identity-ok scheduling knob; any worker count produces bit-identical results
 
-	// Sched selects the campaign scheduler. SchedSteal (the default) runs
-	// the two-phase engine: one reachability pass captures a portable
-	// checkpoint image per checkpoint, and a work-stealing pool serves
-	// (checkpoint, trial-batch) units, any worker for any checkpoint.
-	// SchedShard is the legacy engine — checkpoints dealt round-robin, each
-	// worker stepping a private machine through the whole program prefix —
-	// kept as an equivalence oracle. Both produce bit-identical Results.
-	Sched SchedMode //pipelint:identity-ok scheduling knob; both schedulers produce bit-identical results
-
-	// TrialBatch is the number of trials per work-stealing unit under
-	// SchedSteal (default 8). Batching never affects the Result: a batch's
+	// TrialBatch is the number of trials per work-stealing unit
+	// (default 8). Batching never affects the Result: a batch's
 	// RNG stream is the checkpoint stream fast-forwarded to the batch's
 	// first trial, so trial bit picks depend only on (Seed, checkpoint,
 	// flat trial index).
@@ -81,13 +72,6 @@ type Config struct {
 	// it cannot perturb the campaign.
 	OnProgress func(Progress) //pipelint:identity-ok observation-only callback; sees results after they are final
 
-	// Rewind selects how workers rewind the machine between trials. The
-	// default, RewindJournal, replays the state file's first-touch undo
-	// journal — O(words touched) per trial. RewindSnapshot restores a full
-	// per-checkpoint snapshot — O(machine state) per trial — and is kept as
-	// the equivalence oracle; both modes produce bit-identical Results.
-	Rewind RewindMode //pipelint:identity-ok rewind mechanism; both modes produce bit-identical results
-
 	// TrialTimeout, when positive, is the per-trial wall-time watchdog: a
 	// trial whose Step loop exceeds the budget is killed, rolled back via
 	// the normal rewind path, and classified OutAnomaly instead of hanging
@@ -103,10 +87,10 @@ type Config struct {
 	Clock func() int64 //pipelint:identity-ok watchdog time source; see TrialTimeout
 
 	// JournalPath, when set, appends every completed work unit's result to
-	// a campaign journal at this path as it is aggregated: each (checkpoint,
-	// trial-batch) unit under SchedSteal, each whole checkpoint under
-	// SchedShard. Resume replays the journal and re-runs only the missing
-	// units, reproducing an uninterrupted run's exports byte-identically.
+	// a campaign journal at this path as it is aggregated: a head record
+	// per checkpoint and a record per (checkpoint, trial-batch) unit.
+	// Resume replays the journal and re-runs only the missing units,
+	// reproducing an uninterrupted run's exports byte-identically.
 	JournalPath string //pipelint:identity-ok journal location; where results are recorded, never what they are
 
 	// EarlyStop selects the trial-termination strategy. EarlyStopConverge
@@ -126,19 +110,12 @@ type Config struct {
 	// modes produce bit-identical Results.
 	EarlyStop EarlyStopMode //pipelint:identity-ok termination strategy; all modes produce bit-identical results
 
-	// OnTrialSteps, if set, receives the number of machine cycles actually
-	// simulated by each trial (0 for trials resolved without stepping).
-	// Instrumentation only — pipebench uses it to measure the early-stop
-	// speedup. Called from worker goroutines; must be safe for concurrent
-	// use.
-	OnTrialSteps func(steps int) //pipelint:identity-ok observation-only instrumentation callback
-
 	// OnTrialResolved, if set, receives how each trial attempt resolved —
 	// which termination mechanism decided it — alongside the cycles it
 	// actually simulated. A trial retried after a contained panic reports
-	// once per attempt (the unwound attempt as ResolveAnomaly), mirroring
-	// OnTrialSteps. Journal-replayed checkpoints report nothing: their
-	// trials are not re-run. Instrumentation only; called from worker
+	// once per attempt (the unwound attempt as ResolveAnomaly). Trials
+	// resolved without stepping report steps == 0. Journal-replayed
+	// checkpoints report nothing: their trials are not re-run. Instrumentation only; called from worker
 	// goroutines, must be safe for concurrent use.
 	OnTrialResolved func(kind ResolveKind, steps int) //pipelint:identity-ok observation-only instrumentation callback
 
@@ -172,34 +149,15 @@ type Config struct {
 	Model FaultModel
 
 	// ModelCrossCheck is the non-transient models' soundness oracle: when
-	// positive, K random trials per checkpoint are re-run with every
-	// acceleration disabled (full-horizon semantics) and must classify
-	// identically; any divergence hard-fails the campaign with a
+	// positive, K distinct random trials per checkpoint (every trial when
+	// the checkpoint has K or fewer) are re-run with every acceleration
+	// disabled (full-horizon semantics) and must classify identically; any divergence hard-fails the campaign with a
 	// *ModelCheckError. Zero disables the oracle; it is forced to zero for
 	// TransientFlip, whose equivalence oracles are the export goldens. The
 	// check can only abort the campaign, never change its results.
 	ModelCrossCheck int //pipelint:identity-ok soundness oracle; can only abort the campaign, never change results
 
 	Seed int64
-}
-
-// RewindMode selects the trial rewind mechanism (see Config.Rewind).
-type RewindMode uint8
-
-// Rewind mechanisms.
-const (
-	RewindJournal RewindMode = iota
-	RewindSnapshot
-)
-
-func (r RewindMode) String() string {
-	switch r {
-	case RewindJournal:
-		return "journal"
-	case RewindSnapshot:
-		return "snapshot"
-	}
-	return fmt.Sprintf("rewind(%d)", uint8(r))
 }
 
 // EarlyStopMode selects the trial-termination strategy (see
@@ -343,36 +301,6 @@ func (e *ProveError) Error() string {
 		e.Checkpoint, e.Elem, e.Entry, e.Bit, e.Rule, e.Outcome, e.Mode)
 }
 
-// SchedMode selects the campaign scheduler (see Config.Sched).
-type SchedMode uint8
-
-// Campaign schedulers.
-const (
-	SchedSteal SchedMode = iota
-	SchedShard
-)
-
-func (s SchedMode) String() string {
-	switch s {
-	case SchedSteal:
-		return "steal"
-	case SchedShard:
-		return "shard"
-	}
-	return fmt.Sprintf("sched(%d)", uint8(s))
-}
-
-// ParseSchedMode maps a flag value to a SchedMode.
-func ParseSchedMode(s string) (SchedMode, error) {
-	switch s {
-	case "steal":
-		return SchedSteal, nil
-	case "shard":
-		return SchedShard, nil
-	}
-	return 0, fmt.Errorf("core: unknown scheduler %q (want \"steal\" or \"shard\")", s)
-}
-
 // Progress is a campaign progress snapshot delivered to Config.OnProgress.
 // Totals are the configured campaign size; a workload that architecturally
 // halts before its last checkpoint finishes with CheckpointsDone <
@@ -457,16 +385,6 @@ func (c *Config) Validate() error {
 		if check.bad {
 			return &ConfigError{Field: check.field, Value: check.value, Reason: check.reason}
 		}
-	}
-	switch c.Sched {
-	case SchedSteal, SchedShard:
-	default:
-		return &ConfigError{Field: "Sched", Value: c.Sched, Reason: "unknown scheduler"}
-	}
-	switch c.Rewind {
-	case RewindJournal, RewindSnapshot:
-	default:
-		return &ConfigError{Field: "Rewind", Value: c.Rewind, Reason: "unknown rewind mode"}
 	}
 	switch c.EarlyStop {
 	case EarlyStopConverge, EarlyStopTaint, EarlyStopOff:

@@ -10,8 +10,7 @@ import (
 )
 
 // newTestEngine builds an engine positioned at a warmed-up checkpoint of
-// the given workload, with a golden continuation already recorded into the
-// worker's reusable buffers.
+// the given workload, with its golden continuation already recorded.
 func newTestEngine(t *testing.T, w *workload.Workload, warmup uint64) (*worker, *goldenRun) {
 	t.Helper()
 	prog, err := w.Program()
@@ -31,14 +30,11 @@ func newTestEngine(t *testing.T, w *workload.Workload, warmup uint64) (*worker, 
 	cfg := Config{Workload: w}
 	cfg.setDefaults()
 	en := newWorker(cfg, m, uint64(cfg.Horizon+2000))
-
-	snap := m.Snapshot()
+	g, _ := en.golden()
+	// Targeted trials rewind the state file by Snapshot/Restore and memory
+	// by undo-log marks, so keep the memory undo log open.
 	m.Mem.BeginUndo()
-	mark := m.Mem.Mark()
-	en.goldenContinuation(en.g)
-	m.Restore(snap)
-	m.Mem.RollbackTo(mark)
-	return en, en.g
+	return en, g
 }
 
 // flipRef builds a BitRef for a named element.

@@ -13,8 +13,8 @@ import (
 )
 
 // TestConvergeEquivalenceMatrix is the correctness oracle of convergence
-// termination: under both schedulers, 1 and 4 workers, and both rewind
-// mechanisms, the converge-terminated campaign must be bit-identical —
+// termination: at 1 and 4 workers, the converge-terminated campaign must
+// be bit-identical —
 // trial for trial, including Cycles — to both the taint-terminated and the
 // full-horizon runs, and must reproduce the checked-in export goldens byte
 // for byte. The goldens predate early stopping entirely, so they pin that
@@ -29,29 +29,25 @@ func TestConvergeEquivalenceMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []SchedMode{SchedShard, SchedSteal} {
-		for _, workers := range []int{1, 4} {
-			for _, rewind := range []RewindMode{RewindJournal, RewindSnapshot} {
-				name := fmt.Sprintf("%v-w%d-%v", sched, workers, rewind)
-				conv := earlyStopCampaign(t, EarlyStopConverge, sched, workers, rewind)
-				taint := earlyStopCampaign(t, EarlyStopTaint, sched, workers, rewind)
-				full := earlyStopCampaign(t, EarlyStopOff, sched, workers, rewind)
-				resultsEqual(t, name+"-conv-vs-off", conv, full)
-				resultsEqual(t, name+"-conv-vs-taint", conv, taint)
-				var gotJSON, gotCSV bytes.Buffer
-				if err := conv.WriteJSON(&gotJSON); err != nil {
-					t.Fatal(err)
-				}
-				if err := conv.WriteCSV(&gotCSV); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
-					t.Errorf("%s: converge JSON export deviates from golden", name)
-				}
-				if !bytes.Equal(gotCSV.Bytes(), wantCSV) {
-					t.Errorf("%s: converge CSV export deviates from golden", name)
-				}
-			}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("w%d", workers)
+		conv := earlyStopCampaign(t, EarlyStopConverge, workers)
+		taint := earlyStopCampaign(t, EarlyStopTaint, workers)
+		full := earlyStopCampaign(t, EarlyStopOff, workers)
+		resultsEqual(t, name+"-conv-vs-off", conv, full)
+		resultsEqual(t, name+"-conv-vs-taint", conv, taint)
+		var gotJSON, gotCSV bytes.Buffer
+		if err := conv.WriteJSON(&gotJSON); err != nil {
+			t.Fatal(err)
+		}
+		if err := conv.WriteCSV(&gotCSV); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
+			t.Errorf("%s: converge JSON export deviates from golden", name)
+		}
+		if !bytes.Equal(gotCSV.Bytes(), wantCSV) {
+			t.Errorf("%s: converge CSV export deviates from golden", name)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -49,11 +48,9 @@ type keyframe struct {
 }
 
 // goldenRun is a checkpoint's fault-free continuation: the per-cycle
-// whole-machine trajectory digest and the retired-instruction trace. One
-// goldenRun is owned by each worker and reused across its checkpoints —
-// the digest and event slices are truncated, the retired set is cleared,
-// and all three keep their high-water capacity instead of being
-// reallocated per checkpoint.
+// whole-machine trajectory digest and the retired-instruction trace. A
+// checkpoint's head unit records it once; it is then shared, read-only, by
+// every trial batch of that checkpoint.
 type goldenRun struct {
 	digests []uint64 // composite digest (state ^ memory) after cycle i+1
 	events  []uarch.RetireEvent
@@ -66,8 +63,8 @@ type goldenRun struct {
 	// run ever reads it behaves bit-identically to the golden run, so its
 	// outcome is a pure function of these fields (see
 	// (*worker).resolveDead). traced gates the fast path: goldens built
-	// without tracing (EarlyStopOff, legacy test preambles) leave it false
-	// and every trial takes the full loop.
+	// without tracing (no early-stop or prover consumer wants the trace)
+	// leave it false and every trial takes the full loop.
 	trace    *state.TouchTrace
 	lockedAt uint64 // first cycle the no-retire streak reaches LockedCycles
 	itlbAt   uint64 // first cycle the illegal-fetch-stall streak reaches 30
@@ -88,28 +85,6 @@ type goldenRun struct {
 	evCount     []uint32 // evCount[c-1] = len(events) after cycle c
 }
 
-// reset prepares the buffers for the next checkpoint, keeping capacity.
-func (g *goldenRun) reset(horizon uint64) {
-	if cap(g.digests) < int(horizon) {
-		g.digests = make([]uint64, 0, horizon)
-	}
-	g.digests = g.digests[:0]
-	g.events = g.events[:0]
-	if g.retired == nil {
-		g.retired = make(map[uint64]struct{})
-	} else {
-		clear(g.retired)
-	}
-	g.lockedAt, g.itlbAt, g.excAt = 0, 0, 0
-	g.excMode = FailNone
-	g.traced = false
-	g.conv = false
-	g.keyframes = g.keyframes[:0]
-	g.retireBits = g.retireBits[:0]
-	g.illegalBits = g.illegalBits[:0]
-	g.evCount = g.evCount[:0]
-}
-
 // bitAt reads cycle c's flag from a per-cycle bitset.
 func bitAt(bits []uint64, c uint64) bool {
 	return bits[(c-1)>>6]>>((c-1)&63)&1 == 1
@@ -118,40 +93,6 @@ func bitAt(bits []uint64, c uint64) bool {
 // setBitAt sets cycle c's flag in a pre-sized per-cycle bitset.
 func setBitAt(bits []uint64, c uint64) {
 	bits[(c-1)>>6] |= 1 << ((c - 1) & 63)
-}
-
-// growWords returns a zeroed word slice of length n, reusing capacity.
-func growWords(bits []uint64, n int) []uint64 {
-	if cap(bits) < n {
-		return make([]uint64, n)
-	}
-	bits = bits[:n]
-	for i := range bits {
-		bits[i] = 0
-	}
-	return bits
-}
-
-// ckResult is one checkpoint's complete outcome: per-population trial lists
-// plus the Figure 6 scatter inputs. Workers send one over the scheduler's
-// channel; aggregation replays them in checkpoint order so the assembled
-// Result is independent of worker count and completion order.
-type ckResult struct {
-	ck         int
-	validInsns int
-	pops       []popTrials // aligned with Config.Populations
-	// proven, when the prover ran, holds one stratum per population
-	// (aligned with Config.Populations): the proven-benign and total
-	// injectable bit counts the analytic re-weighting needs. err carries a
-	// cross-check oracle violation; the scheduler aborts the campaign on it.
-	proven []ProvenStratum
-	err    error
-}
-
-// popTrials is one population's share of a checkpoint.
-type popTrials struct {
-	trials []Trial
-	benign int
 }
 
 // trialMonitor is the per-trial divergence/exception classifier state. It
@@ -216,12 +157,10 @@ func (t *trialMonitor) onExc(ev uarch.ExcEvent) {
 	}
 }
 
-// worker runs golden continuations and trials on a private machine. Under
-// SchedShard the scheduler hands each worker a cloned machine and a
-// disjoint checkpoint set; under SchedSteal every worker serves arbitrary
-// checkpoints by materializing their portable images, and g may point at a
-// checkpoint's *shared* golden run (read-only once published). Workers
-// never share mutable state.
+// worker runs golden continuations and trials on a private machine. It
+// serves arbitrary checkpoints by materializing their portable images, and
+// g points at the current checkpoint's *shared* golden run (read-only once
+// published). Workers never share mutable state.
 type worker struct {
 	cfg Config
 	m   *uarch.Machine
@@ -229,10 +168,8 @@ type worker struct {
 	model FaultModel
 	//pipelint:shadow-ok golden-run horizon derived from the schedule, not injectable machine state
 	horizonG uint64
-	//pipelint:shadow-ok current golden run (owned buffer or shared immutable); engine scaffolding
+	//pipelint:shadow-ok current golden run (shared, immutable once published); engine scaffolding
 	g *goldenRun
-	//pipelint:shadow-ok reusable golden-run buffers for the shard path; engine scaffolding
-	gOwned goldenRun
 	//pipelint:shadow-ok per-trial classifier scratch, reset each trial; never injectable machine state
 	mon trialMonitor
 	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
@@ -249,7 +186,6 @@ type worker struct {
 // newWorker wires up a worker's reusable buffers and callbacks.
 func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 	w := &worker{cfg: cfg, m: m, horizonG: horizonG, model: resolveModel(cfg.Model)}
-	w.g = &w.gOwned
 	w.onGolden = func(ev uarch.RetireEvent) {
 		w.g.events = append(w.g.events, ev)
 		w.g.retired[ev.Seq] = struct{}{}
@@ -259,39 +195,9 @@ func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 	return w
 }
 
-// run advances the worker's machine through its checkpoints (assigned in
-// ascending cycle order) and sends one ckResult per checkpoint reached. A
-// machine that architecturally halts before reaching a checkpoint skips
-// that checkpoint and all later ones, exactly as the serial engine did.
-// Checkpoints the campaign journal already holds are stepped through but
-// not re-run (aggregation injects their journaled results), and a
-// cancelled context stops the worker at the next checkpoint boundary —
-// the in-flight checkpoint always completes, so every emitted ckResult is
-// whole.
-func (w *worker) run(ctx context.Context, cks []int, cycles []uint64, prior *priorUnits, out chan<- *ckResult) {
-	for _, ck := range cks {
-		if ctx.Err() != nil {
-			return
-		}
-		for w.m.Cycle < cycles[ck] && !w.m.Halted() {
-			w.m.Step()
-		}
-		if w.m.Halted() {
-			return
-		}
-		if prior.completeCk(ck) {
-			continue // journal-replayed; aggregation already has its result
-		}
-		cr := w.checkpoint(ck)
-		out <- cr
-		if cr.err != nil {
-			return // cross-check violation; the campaign is aborting
-		}
-	}
-}
-
 // goldenContinuation steps the worker's machine through the fault-free
-// continuation, filling g with the per-cycle digests and retirement trace.
+// continuation, recording a fresh goldenRun of per-cycle digests and the
+// retirement trace.
 // Under EarlyStopTaint it additionally records the liveness data the
 // closed-form trial classifier needs: a first-touch trace over injectable
 // entries and the cycles at which the golden run itself trips the locked,
@@ -300,9 +206,12 @@ func (w *worker) run(ctx context.Context, cks []int, cycles []uint64, prior *pri
 // trial's per-cycle classification would perform is captured — the
 // soundness condition for treating an unread-then-overwritten entry as
 // dead. The caller rewinds the machine afterwards.
-func (w *worker) goldenContinuation(g *goldenRun) {
+func (w *worker) goldenContinuation() *goldenRun {
 	m := w.m
-	g.reset(w.horizonG)
+	g := &goldenRun{
+		digests: make([]uint64, 0, w.horizonG),
+		retired: make(map[uint64]struct{}),
+	}
 	w.g = g
 	m.OnRetire = w.onGolden
 	// The prover consumes the same liveness data as the taint fast path, so
@@ -319,11 +228,7 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 	traced := conv || (transient && w.cfg.EarlyStop == EarlyStopTaint) || w.cfg.Prove != ProveOff
 	var cyc uint64
 	if traced {
-		if g.trace == nil {
-			g.trace = m.F.NewTouchTrace()
-		} else {
-			g.trace.Reset()
-		}
+		g.trace = m.F.NewTouchTrace()
 		m.F.StartTrace(g.trace)
 		m.OnExc = func(ev uarch.ExcEvent) {
 			if g.excAt != 0 {
@@ -339,11 +244,9 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 	}
 	if conv {
 		nw := int(w.horizonG+63) / 64
-		g.retireBits = growWords(g.retireBits, nw)
-		g.illegalBits = growWords(g.illegalBits, nw)
-		if cap(g.evCount) < int(w.horizonG) {
-			g.evCount = make([]uint32, 0, w.horizonG)
-		}
+		g.retireBits = make([]uint64, nw)
+		g.illegalBits = make([]uint64, nw)
+		g.evCount = make([]uint32, 0, w.horizonG)
 	}
 	noRetire := 0
 	itlbCnt := 0
@@ -385,17 +288,9 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 			}
 			g.evCount = append(g.evCount, uint32(len(g.events)))
 			if cyc&(convStride-1) == 0 && cyc <= uint64(w.cfg.Horizon) {
-				// Reuse the snapshot allocated for this slot by a previous
-				// checkpoint's golden run, if any (reset truncates the slice
-				// but keeps the backing array).
-				ki := int(cyc/convStride) - 1
-				var reuse *state.Snapshot
-				if ki < cap(g.keyframes) {
-					reuse = g.keyframes[:cap(g.keyframes)][ki].snap
-				}
 				g.keyframes = append(g.keyframes, keyframe{
 					cyc:       cyc,
-					snap:      m.F.SnapshotInto(reuse),
+					snap:      m.F.Snapshot(),
 					memDigest: m.Mem.Digest(),
 				})
 			}
@@ -408,6 +303,7 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 	m.OnRetire = nil
 	g.traced = traced
 	g.conv = conv
+	return g
 }
 
 // checkpointSeed derives the per-checkpoint RNG seed from the campaign seed
@@ -429,79 +325,6 @@ func splitmix64(x uint64) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// checkpoint runs the golden continuation and all trial populations at the
-// machine's current cycle, then rewinds the machine so it can continue to
-// the worker's next checkpoint.
-//
-// The default rewind path (RewindJournal) never copies machine state: one
-// journal mark brackets the whole checkpoint, the golden continuation and
-// each trial are rolled back by replaying only the words they dirtied, and
-// the journal is discarded when the checkpoint's last trial is done.
-// RewindSnapshot keeps the historical full Snapshot/Restore per trial as
-// the equivalence oracle — both paths produce bit-identical results.
-func (w *worker) checkpoint(ck int) *ckResult {
-	m := w.m
-	useSnap := w.cfg.Rewind == RewindSnapshot
-	var snap *uarch.Snapshot
-	if useSnap {
-		snap = m.Snapshot()
-	} else {
-		m.BeginJournal()
-		m.Mark(&w.ckMark)
-	}
-	m.Mem.BeginUndo()
-	memMark := m.Mem.Mark()
-
-	// Golden continuation.
-	g := &w.gOwned
-	w.goldenContinuation(g)
-	w.rewind(snap, &w.ckMark)
-	m.Mem.RollbackTo(memMark)
-
-	validInsns := 0
-	for _, s := range m.InFlightSeqs() {
-		if _, ok := g.retired[s]; ok {
-			validInsns++
-		}
-	}
-
-	proof := w.computeProof(g)
-	cr := &ckResult{ck: ck, validInsns: validInsns, pops: make([]popTrials, len(w.cfg.Populations))}
-	cr.proven = provenStrata(proof, ck, w.cfg.Populations)
-	if err := w.crossCheck(proof, ck, snap); err != nil {
-		cr.err = err
-	} else {
-		total := 0
-		for _, pop := range w.cfg.Populations {
-			total += pop.Trials
-		}
-		sel := w.modelCheckSet(ck, total)
-		rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck)))
-		flat := 0
-		for pi, pop := range w.cfg.Populations {
-			pt := &cr.pops[pi]
-			pt.trials = make([]Trial, 0, pop.Trials)
-			for t := 0; t < pop.Trials; t++ {
-				bit := drawBit(m.F, proof, rng, pop.LatchOnly)
-				trial := w.runTrialContained(bit, ck, flat, snap)
-				if cr.err == nil && sel[flat] {
-					cr.err = w.modelCheckTrial(bit, ck, flat, snap, trial)
-				}
-				flat++
-				pt.trials = append(pt.trials, trial)
-				if trial.Outcome == OutMatch || trial.Outcome == OutGray {
-					pt.benign++
-				}
-			}
-		}
-	}
-	if !useSnap {
-		m.CommitJournal()
-	}
-	m.Mem.Rollback()
-	return cr
 }
 
 // computeProof runs the static benign-injection prover over the machine's
@@ -566,12 +389,20 @@ const crossCheckSalt = 0x70726f7665 // "prove"
 // proven-benign bits, simulates each full-horizon with every early-stop
 // shortcut disabled, and reports an error unless all of them classify
 // µArch Match — the exact claim every proof rule makes. The machine must be
-// at checkpoint state; each check trial rewinds through the same
-// containment boundary ordinary trials use, so the oracle perturbs nothing.
-func (w *worker) crossCheck(proof *prove.Proof, ck int, snap *uarch.Snapshot) error {
+// at checkpoint state with no rewind bracket open; the oracle opens its own,
+// and each check trial rewinds through the same containment boundary
+// ordinary trials use, so the oracle perturbs nothing.
+func (w *worker) crossCheck(proof *prove.Proof, ck int) error {
 	if proof == nil || w.cfg.ProveCrossCheck <= 0 {
 		return nil
 	}
+	m := w.m
+	m.BeginJournal()
+	m.Mem.BeginUndo()
+	defer func() {
+		m.CommitJournal()
+		m.Mem.Rollback()
+	}()
 	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck) ^ crossCheckSalt))
 	saved := w.cfg.EarlyStop
 	w.cfg.EarlyStop = EarlyStopOff
@@ -581,7 +412,7 @@ func (w *worker) crossCheck(proof *prove.Proof, ck int, snap *uarch.Snapshot) er
 		if !ok {
 			return nil // nothing proven at this checkpoint
 		}
-		trial := w.runTrialContained(bit, ck, -1-k, snap)
+		trial := w.runTrialContained(bit, ck, -1-k)
 		if trial.Outcome != OutMatch {
 			rule, _ := proof.Proven(bit)
 			return &ProveError{
@@ -603,16 +434,18 @@ func (w *worker) crossCheck(proof *prove.Proof, ck int, snap *uarch.Snapshot) er
 const modelCheckSalt = 0x636865636b // "check"
 
 // modelCheckSet picks the flat trial indices the fault-model cross-check
-// oracle re-runs at one checkpoint: ModelCrossCheck draws from a dedicated
-// salted stream, so the selection depends only on (Seed, checkpoint) and is
-// identical across schedulers and workers. Nil when the oracle is off.
+// oracle re-runs at one checkpoint: min(ModelCrossCheck, total) distinct
+// indices, drawn from a dedicated salted stream (repeats are redrawn), so
+// the selection depends only on (Seed, checkpoint) and is identical for
+// any worker count and batch size. Nil when the oracle is off.
 func (w *worker) modelCheckSet(ck, total int) map[int]bool {
 	if w.cfg.ModelCrossCheck <= 0 || total <= 0 {
 		return nil
 	}
+	k := min(w.cfg.ModelCrossCheck, total)
 	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck) ^ modelCheckSalt))
-	sel := make(map[int]bool, w.cfg.ModelCrossCheck)
-	for k := 0; k < w.cfg.ModelCrossCheck; k++ {
+	sel := make(map[int]bool, k)
+	for len(sel) < k {
 		sel[int(rng.Int63n(int64(total)))] = true
 	}
 	return sel
@@ -626,13 +459,13 @@ func (w *worker) modelCheckSet(ck, total int) map[int]bool {
 // side are skipped: watchdog expiries are wall-clock events, not
 // classifications. The re-run rewinds through the ordinary containment
 // boundary, so the oracle perturbs nothing.
-func (w *worker) modelCheckTrial(bit state.BitRef, ck, idx int, snap *uarch.Snapshot, got Trial) error {
+func (w *worker) modelCheckTrial(bit state.BitRef, ck, idx int, got Trial) error {
 	if got.Outcome == OutAnomaly {
 		return nil
 	}
 	saved := w.cfg.EarlyStop
 	w.cfg.EarlyStop = EarlyStopOff
-	check := w.runTrialContained(bit, ck, idx, snap)
+	check := w.runTrialContained(bit, ck, idx)
 	w.cfg.EarlyStop = saved
 	if check.Outcome == OutAnomaly {
 		return nil
@@ -686,10 +519,10 @@ func (w *worker) attemptTrial(bit state.BitRef, ck, idx, attempt int) (trial Tri
 // runTrialContained is the containment boundary around one trial: mark the
 // rewind point, run the trial with panics recovered, and roll the machine
 // back whether the trial classified, panicked or hit the watchdog. The
-// rollback replays the state-file undo journal (or restores the checkpoint
-// snapshot under RewindSnapshot), which a mid-Step panic cannot corrupt:
-// the journal is an append-only first-touch log, complete for every word
-// the doomed trial dirtied. A panicking trial is retried once on the
+// caller holds the journal and memory-undo bracket open. The rollback
+// replays the state-file undo journal, which a mid-Step panic cannot
+// corrupt: the journal is an append-only first-touch log, complete for
+// every word the doomed trial dirtied. A panicking trial is retried once on the
 // freshly restored state — the machine is deterministic, so a recurring
 // panic confirms the anomaly is a property of the injection, not a
 // one-shot artifact — and a second panic records the trial as OutAnomaly,
@@ -698,16 +531,13 @@ func (w *worker) attemptTrial(bit state.BitRef, ck, idx, attempt int) (trial Tri
 // stream is untouched (the bit was drawn by the caller) and rollback
 // restores the exact pre-trial state, so subsequent trials are bit-
 // identical to an anomaly-free run's.
-func (w *worker) runTrialContained(bit state.BitRef, ck, idx int, snap *uarch.Snapshot) Trial {
+func (w *worker) runTrialContained(bit state.BitRef, ck, idx int) Trial {
 	m := w.m
-	useSnap := snap != nil
 	for attempt := 0; ; attempt++ {
 		tmark := m.Mem.Mark()
-		if !useSnap {
-			m.Mark(&w.trialMark)
-		}
+		m.Mark(&w.trialMark)
 		trial, pv, stack := w.attemptTrial(bit, ck, idx, attempt)
-		w.rewind(snap, &w.trialMark)
+		m.RollbackTo(&w.trialMark)
 		m.Mem.RollbackTo(tmark)
 		if pv == nil {
 			trial.Checkpoint = int32(ck)
@@ -738,16 +568,6 @@ func (w *worker) runTrialContained(bit state.BitRef, ck, idx int, snap *uarch.Sn
 			},
 		}
 	}
-}
-
-// rewind rolls the machine back to the checkpoint state through whichever
-// mechanism the campaign selected.
-func (w *worker) rewind(snap *uarch.Snapshot, mark *uarch.MarkPoint) {
-	if snap != nil {
-		w.m.Restore(snap)
-		return
-	}
-	w.m.RollbackTo(mark)
 }
 
 // resolveDead decides, without flipping the bit or stepping the machine,
@@ -910,9 +730,6 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		if out, mode, cyc, ok := w.resolveDead(bit, horizon); ok && (deadline == 0 || cyc < watchdogStride) {
 			trial.Outcome, trial.Mode = out, mode
 			trial.Cycles = int32(cyc)
-			if w.cfg.OnTrialSteps != nil {
-				w.cfg.OnTrialSteps(0)
-			}
 			if w.cfg.OnTrialResolved != nil {
 				w.cfg.OnTrialResolved(ResolveTaint, 0)
 			}
@@ -931,9 +748,6 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	defer func() {
 		m.OnRetire = nil
 		m.OnExc = nil
-		if w.cfg.OnTrialSteps != nil {
-			w.cfg.OnTrialSteps(steps)
-		}
 		if w.cfg.OnTrialResolved != nil {
 			w.cfg.OnTrialResolved(kind, steps)
 		}
@@ -942,7 +756,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	// Arm the fault model at the drawn bit. Models that consume randomness
 	// (intermittent durations) get a dedicated stream seeded from the trial's
 	// campaign coordinates, so model randomness is identical across
-	// schedulers, workers, retries and resume, and never perturbs the
+	// workers, trial batches, retries and resume, and never perturbs the
 	// bit-draw stream. One-shot models return a nil ArmedFault and the loop
 	// below is bit-identical to the pre-interface engine.
 	var mrng *rand.Rand

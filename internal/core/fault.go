@@ -300,8 +300,8 @@ const modelArmSalt = 0x6d6f64656c // "model"
 
 // trialModelSeed derives the model's per-trial RNG seed from (Seed,
 // checkpoint, flat trial index) — the same coordinates that pin the bit
-// draw, so model randomness is reproducible across schedulers, workers and
-// resume, and never touches the bit-draw stream.
+// draw, so model randomness is reproducible across workers, trial batches
+// and resume, and never touches the bit-draw stream.
 func trialModelSeed(seed int64, ck, idx int) int64 {
 	return int64(splitmix64(uint64(checkpointSeed(seed, ck))^modelArmSalt) ^ splitmix64(uint64(int64(idx))))
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"pipefault/internal/state"
@@ -453,40 +454,34 @@ func TestStuckAtBitLaneWriters(t *testing.T) {
 }
 
 // TestTransientFlipExportCompat: an explicit TransientFlip model is
-// byte-identical to the default nil model across the scheduler × workers ×
-// rewind matrix — the interface seam adds nothing to the classic campaign.
+// byte-identical to the default nil model at any worker count — the
+// interface seam adds nothing to the classic campaign.
 func TestTransientFlipExportCompat(t *testing.T) {
-	for _, sched := range []SchedMode{SchedSteal, SchedShard} {
-		for _, workers := range []int{1, 4} {
-			for _, rewind := range []RewindMode{RewindJournal, RewindSnapshot} {
-				t.Run(fmt.Sprintf("%v-w%d-%v", sched, workers, rewind), func(t *testing.T) {
-					cfg := stealTestConfig()
-					cfg.Sched = sched
-					cfg.Workers = workers
-					cfg.Rewind = rewind
-					base, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Model = TransientFlip{}
-					explicit, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					baseJSON, baseCSV := exportBytes(t, base)
-					gotJSON, gotCSV := exportBytes(t, explicit)
-					if !bytes.Equal(gotJSON, baseJSON) {
-						t.Errorf("explicit TransientFlip JSON differs from default model:\n--- default ---\n%s\n--- explicit ---\n%s", baseJSON, gotJSON)
-					}
-					if !bytes.Equal(gotCSV, baseCSV) {
-						t.Error("explicit TransientFlip CSV differs from default model")
-					}
-					if base.Model != "transient" || explicit.Model != "transient" {
-						t.Errorf("Result.Model = %q / %q, want \"transient\"", base.Model, explicit.Model)
-					}
-				})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			cfg := stealTestConfig()
+			cfg.Workers = workers
+			base, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			cfg.Model = TransientFlip{}
+			explicit, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseJSON, baseCSV := exportBytes(t, base)
+			gotJSON, gotCSV := exportBytes(t, explicit)
+			if !bytes.Equal(gotJSON, baseJSON) {
+				t.Errorf("explicit TransientFlip JSON differs from default model:\n--- default ---\n%s\n--- explicit ---\n%s", baseJSON, gotJSON)
+			}
+			if !bytes.Equal(gotCSV, baseCSV) {
+				t.Error("explicit TransientFlip CSV differs from default model")
+			}
+			if base.Model != "transient" || explicit.Model != "transient" {
+				t.Errorf("Result.Model = %q / %q, want \"transient\"", base.Model, explicit.Model)
+			}
+		})
 	}
 }
 
@@ -501,10 +496,10 @@ func nonTransientModels() []FaultModel {
 	}
 }
 
-// TestModelSchedulerEquivalence: for every gated model, both schedulers and
-// any worker count produce the identical Result — including the
-// intermittent model, whose per-trial random durations must come from the
-// dedicated (Seed, checkpoint, index) stream and not from scheduling order.
+// TestModelSchedulerEquivalence: for every gated model, any worker count and
+// trial batch produce the identical Result — including the intermittent
+// model, whose per-trial random durations must come from the dedicated
+// (Seed, checkpoint, index) stream and not from scheduling order.
 // ModelCrossCheck is on, so each run also passes the full-horizon soundness
 // oracle on a sample of its own trials.
 func TestModelSchedulerEquivalence(t *testing.T) {
@@ -513,25 +508,69 @@ func TestModelSchedulerEquivalence(t *testing.T) {
 			cfg := stealTestConfig()
 			cfg.Model = model
 			cfg.ModelCrossCheck = 2
-			cfg.Sched = SchedShard
 			cfg.Workers = 1
-			shard, err := Run(cfg)
+			base, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shard.Model != model.String() {
-				t.Errorf("Result.Model = %q, want %q", shard.Model, model.String())
+			if base.Model != model.String() {
+				t.Errorf("Result.Model = %q, want %q", base.Model, model.String())
 			}
-			for _, workers := range []int{1, 4} {
-				cfg.Sched = SchedSteal
-				cfg.Workers = workers
-				steal, err := Run(cfg)
+			for _, sc := range []struct{ workers, batch int }{{4, 8}, {8, 1}} {
+				cfg.Workers = sc.workers
+				cfg.TrialBatch = sc.batch
+				got, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resultsEqual(t, fmt.Sprintf("%s-w%d", model, workers), shard, steal)
+				resultsEqual(t, fmt.Sprintf("%s-w%d-batch%d", model, sc.workers, sc.batch), base, got)
 			}
 		})
+	}
+}
+
+// TestModelCrossCheckDistinct: the fault-model oracle re-runs
+// min(ModelCrossCheck, trials per checkpoint) distinct trials. With K at or
+// above the per-checkpoint total, every flat index must run exactly twice —
+// once as the trial, once as its full-horizon re-check — and the oracle,
+// which can only abort, must leave the Result untouched.
+func TestModelCrossCheckDistinct(t *testing.T) {
+	cfg := stealTestConfig()
+	cfg.Model = StuckAt{Polarity: 1, Duration: 40}
+	cfg.Workers = 2
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perCk := 0
+	for _, p := range cfg.Populations {
+		perCk += p.Trials
+	}
+	defer func() { testTrialHook = nil }()
+	for _, k := range []int{perCk, perCk + 5} {
+		var mu sync.Mutex
+		runs := make(map[[2]int]int)
+		testTrialHook = func(ck, idx, attempt int) {
+			mu.Lock()
+			runs[[2]int{ck, idx}]++
+			mu.Unlock()
+		}
+		cfg.ModelCrossCheck = k
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, fmt.Sprintf("crosscheck-%d", k), base, res)
+		if len(runs) != cfg.Checkpoints*perCk {
+			t.Errorf("K=%d: %d distinct trials ran, want %d", k, len(runs), cfg.Checkpoints*perCk)
+		}
+		for ck := 0; ck < cfg.Checkpoints; ck++ {
+			for idx := 0; idx < perCk; idx++ {
+				if n := runs[[2]int{ck, idx}]; n != 2 {
+					t.Errorf("K=%d: checkpoint %d trial %d ran %d times, want 2 (trial + one re-check)", k, ck, idx, n)
+				}
+			}
+		}
 	}
 }
 

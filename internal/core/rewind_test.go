@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,11 +10,10 @@ import (
 	"pipefault/internal/workload"
 )
 
-// rewindCampaign runs the golden-test campaign under an explicit rewind
-// mechanism, scheduler, and worker count.
-func rewindCampaign(t *testing.T, mode RewindMode, sched SchedMode, workers int) *Result {
-	t.Helper()
-	res, err := Run(Config{
+// goldenCampaignConfig is the campaign whose exports are pinned in
+// testdata/export_golden.{json,csv}.
+func goldenCampaignConfig() Config {
+	return Config{
 		Workload:    workload.Tiny,
 		Checkpoints: 2,
 		Horizon:     800,
@@ -21,38 +21,34 @@ func rewindCampaign(t *testing.T, mode RewindMode, sched SchedMode, workers int)
 			{Name: "l+r", Trials: 4},
 			{Name: "l", LatchOnly: true, Trials: 3},
 		},
-		Seed:    11,
-		Workers: workers,
-		Rewind:  mode,
-		Sched:   sched,
-		Prove:   ProveOff, // goldens pin the full-population draw sequence
-	})
-	if err != nil {
-		t.Fatal(err)
+		Seed:  11,
+		Prove: ProveOff, // goldens pin the full-population draw sequence
 	}
-	return res
 }
 
-// TestRewindEquivalence is the correctness oracle of both rewind paths and
-// both schedulers at campaign scale: the undo-journal rewind path and the
-// full Snapshot/Restore path, under the shard engine and the work-stealing
-// engine at 1, 4 and 8 workers, must all produce byte-identical exports
-// (JSON and CSV) matching the checked-in golden files — which predate both
-// the journal and the steal engine, so the goldens pin that none of these
-// mechanisms changed the simulator's observable behavior.
+// TestRewindEquivalence pins the engine's observable behavior at campaign
+// scale: across 1, 4 and 8 workers and trial batches of 1, 8 and a whole
+// checkpoint, every run must reproduce the checked-in export goldens (JSON
+// and CSV) byte for byte. The goldens predate the undo-journal rewind, the
+// checkpoint images and the work-stealing pool, so they pin that none of
+// these mechanisms changed the simulator's observable behavior.
 func TestRewindEquivalence(t *testing.T) {
-	runs := []struct {
+	type run struct {
 		name string
 		res  *Result
-	}{
-		{"journal-shard-w1", rewindCampaign(t, RewindJournal, SchedShard, 1)},
-		{"journal-shard-w4", rewindCampaign(t, RewindJournal, SchedShard, 4)},
-		{"snapshot-shard-w1", rewindCampaign(t, RewindSnapshot, SchedShard, 1)},
-		{"snapshot-shard-w4", rewindCampaign(t, RewindSnapshot, SchedShard, 4)},
-		{"journal-steal-w1", rewindCampaign(t, RewindJournal, SchedSteal, 1)},
-		{"journal-steal-w8", rewindCampaign(t, RewindJournal, SchedSteal, 8)},
-		{"snapshot-steal-w1", rewindCampaign(t, RewindSnapshot, SchedSteal, 1)},
-		{"snapshot-steal-w8", rewindCampaign(t, RewindSnapshot, SchedSteal, 8)},
+	}
+	var runs []run
+	for _, workers := range []int{1, 4, 8} {
+		for _, batch := range []int{1, 8, 4 + 3} {
+			cfg := goldenCampaignConfig()
+			cfg.Workers = workers
+			cfg.TrialBatch = batch
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, run{fmt.Sprintf("w%d-batch%d", workers, batch), res})
+		}
 	}
 	encoders := []struct {
 		name   string
@@ -74,20 +70,10 @@ func TestRewindEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want) {
-					t.Errorf("%s: export deviates from golden — rewind paths are not equivalent\n--- got ---\n%s\n--- want ---\n%s",
+					t.Errorf("%s: export deviates from golden\n--- got ---\n%s\n--- want ---\n%s",
 						run.name, got.Bytes(), want)
 				}
 			}
 		})
-	}
-}
-
-// TestRewindModeString pins the flag-facing names.
-func TestRewindModeString(t *testing.T) {
-	if RewindJournal.String() != "journal" || RewindSnapshot.String() != "snapshot" {
-		t.Errorf("RewindMode strings: %q, %q", RewindJournal, RewindSnapshot)
-	}
-	if s := RewindMode(99).String(); s == "" {
-		t.Error("unknown RewindMode must still print")
 	}
 }
