@@ -36,17 +36,19 @@
 // without perturbing results; each line carries a running tally of HOW
 // trials resolved (taint, quiescence, convergence, monitor, full-horizon,
 // anomaly), and a final per-mechanism breakdown with mean simulated cycles
-// is printed after the last command. -earlystop picks the termination
-// strategy (converge, taint, off) — all three produce byte-identical
-// results; they differ only in simulated cycles per trial.
+// is printed after the last command. -earlystop picks one of the two
+// termination strategies, converge (the default) or off (the full-horizon
+// reference) — both produce byte-identical results; they differ only in
+// simulated cycles per trial.
 //
 // Fault-model flags: -fault-model selects what each trial injects —
 // transient (the paper's single bit flip, the default), stuck0/stuck1
 // (stuck-at for a -fault-duration cycle window), intermittent (stuck-at-1
 // for a seeded random duration in [1, -fault-duration]), permanent
 // (stuck-at-1 for the whole trial), or mbu2 (a 2-adjacent-bit upset).
-// Non-transient models auto-restrict early stopping and disable the
-// prover (their soundness arguments need one-shot faults);
+// Non-default models disable the prover, and non-transient models run
+// without the dead-entry and convergence shortcuts (their soundness
+// arguments need one-shot faults);
 // -model-crosscheck K re-runs K trials per checkpoint with every
 // acceleration off and fails the campaign on any divergence. A final
 // per-model outcome breakdown is printed next to the trial-resolution
@@ -118,7 +120,7 @@ func run(args []string) int {
 	softTrials := fs.Int("soft-trials", 60, "software trials per benchmark per model")
 	horizon := fs.Int("horizon", 10_000, "trial cycle budget")
 	workers := fs.Int("workers", runtime.NumCPU(), "campaign worker goroutines (results are identical for any count)")
-	earlyStop := fs.String("earlystop", "converge", "trial termination: converge (taint shortcuts + trajectory re-convergence certificate), taint (taint shortcuts only), or off (full-horizon equivalence oracle)")
+	earlyStop := fs.String("earlystop", "converge", "trial termination: converge (dead-entry and quiescence shortcuts + trajectory re-convergence certificate) or off (full-horizon reference)")
 	proveFlag := fs.String("prove", "on", "static benign-injection prover: on (sample only unproven bits, re-weight analytically) or off (full-population sampling)")
 	proveCheck := fs.Int("prove-crosscheck", 0, "per-checkpoint soundness oracle: simulate this many proven-benign bits full-horizon and fail the campaign unless all match (0 disables)")
 	faultModel := fs.String("fault-model", "transient", "fault model to inject: "+strings.Join(core.FaultModelNames(), ", "))
@@ -194,7 +196,6 @@ func run(args []string) int {
 		{*softTrials < 1, fmt.Sprintf("-soft-trials must be >= 1 (got %d)", *softTrials)},
 		{*horizon < 1, fmt.Sprintf("-horizon must be >= 1 (got %d)", *horizon)},
 		{*faultDuration < 1, fmt.Sprintf("-fault-duration must be >= 1 (got %d)", *faultDuration)},
-		{*modelCheck < 0, fmt.Sprintf("-model-crosscheck must be >= 0 (got %d)", *modelCheck)},
 		{*resumeFlag && *journal == "", "-resume requires -journal"},
 	} {
 		if check.bad {

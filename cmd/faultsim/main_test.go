@@ -21,9 +21,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{"negative duration", []string{"-fault-model", "intermittent", "-fault-duration", "-7", "modes"}, 2},
 		{"zero duration transient", []string{"-fault-duration", "0", "modes"}, 2},
 		{"negative crosscheck", []string{"-model-crosscheck", "-1", "modes"}, 2},
+		{"taint earlystop", []string{"-earlystop", "taint", "modes"}, 2},
 		{"resume without journal", []string{"-resume", "modes"}, 2},
 		{"bad bench", []string{"-bench", "nope", "modes"}, 2},
 		{"default ok", []string{"modes"}, 0},
+		{"earlystop off ok", []string{"-earlystop", "off", "modes"}, 0},
 		{"transient ok", []string{"-fault-model", "transient", "modes"}, 0},
 		{"stuck0 ok", []string{"-fault-model", "stuck0", "-fault-duration", "25", "modes"}, 0},
 		{"intermittent ok", []string{"-fault-model", "intermittent", "-fault-duration", "25", "modes"}, 0},

@@ -103,12 +103,11 @@ type Config struct {
 	// from the golden trajectory is provably frozen — every differing entry
 	// untouched by the golden run for the rest of the horizon — resolve in
 	// closed form from the golden monitors at the next convergence keyframe
-	// (see DESIGN.md "Convergence termination"). EarlyStopTaint keeps only
-	// the first two mechanisms (the pre-convergence behavior, retained as
-	// an equivalence oracle); EarlyStopOff steps every trial to
-	// classification or the full horizon — the baseline oracle. All three
-	// modes produce bit-identical Results.
-	EarlyStop EarlyStopMode //pipelint:identity-ok termination strategy; all modes produce bit-identical results
+	// (see DESIGN.md "Convergence termination"). EarlyStopOff steps every
+	// trial to classification or the full horizon — the paper's reference
+	// semantics and the single oracle the accelerated mode is compared
+	// against. Both modes produce bit-identical Results.
+	EarlyStop EarlyStopMode //pipelint:identity-ok termination strategy; both modes produce bit-identical results
 
 	// OnTrialResolved, if set, receives how each trial attempt resolved —
 	// which termination mechanism decided it — alongside the cycles it
@@ -143,9 +142,9 @@ type Config struct {
 	// over a transient window, an intermittent seeded-random duration, or
 	// permanently), or MultiBit (adjacent-bit MBUs within one entry). The
 	// model changes what every trial simulates, so it is part of the
-	// campaign's journal identity; Validate auto-restricts EarlyStop and
-	// Prove to the modes that are sound for the chosen model (see
-	// restrictToModel).
+	// campaign's journal identity; Validate forces Prove off for every
+	// model but TransientFlip (see restrictToModel), and the engine gates
+	// each early-stop shortcut on the model itself.
 	Model FaultModel
 
 	// ModelCrossCheck is the non-transient models' soundness oracle: when
@@ -165,27 +164,17 @@ type Config struct {
 type EarlyStopMode uint8
 
 // Early-stop strategies. EarlyStopConverge is the zero value and therefore
-// the default; EarlyStopOff keeps its historical value. EarlyStop is
-// excluded from the campaign journal identity, so the renumbering cannot
-// invalidate existing journals.
+// the default. EarlyStop is excluded from the campaign journal identity, so
+// a journal written under one mode resumes under the other.
 const (
 	EarlyStopConverge EarlyStopMode = iota
 	EarlyStopOff
-	EarlyStopTaint
 )
-
-// taintShortcuts reports whether the mode applies the taint (dead-entry)
-// and quiescence closed forms. Convergence is a strict superset of taint.
-func (e EarlyStopMode) taintShortcuts() bool {
-	return e == EarlyStopTaint || e == EarlyStopConverge
-}
 
 func (e EarlyStopMode) String() string {
 	switch e {
 	case EarlyStopConverge:
 		return "converge"
-	case EarlyStopTaint:
-		return "taint"
 	case EarlyStopOff:
 		return "off"
 	}
@@ -197,12 +186,10 @@ func ParseEarlyStopMode(s string) (EarlyStopMode, error) {
 	switch s {
 	case "converge":
 		return EarlyStopConverge, nil
-	case "taint":
-		return EarlyStopTaint, nil
 	case "off":
 		return EarlyStopOff, nil
 	}
-	return 0, fmt.Errorf("core: unknown early-stop mode %q (want \"converge\", \"taint\" or \"off\")", s)
+	return 0, fmt.Errorf("core: unknown early-stop mode %q (want \"converge\" or \"off\")", s)
 }
 
 // ResolveKind identifies the mechanism that terminated a trial attempt
@@ -387,7 +374,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	switch c.EarlyStop {
-	case EarlyStopConverge, EarlyStopTaint, EarlyStopOff:
+	case EarlyStopConverge, EarlyStopOff:
 	default:
 		return &ConfigError{Field: "EarlyStop", Value: c.EarlyStop, Reason: "unknown early-stop mode"}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,13 +24,12 @@ func earlyStopCampaign(t *testing.T, es EarlyStopMode, workers int) *Result {
 	return res
 }
 
-// TestEarlyStopEquivalenceMatrix is the correctness oracle of the
-// early-stop machinery: at 1 and 4 workers, the taint-terminated campaign
-// must be bit-identical —
-// trial for trial, including Cycles — to the full-horizon run, and both
-// must reproduce the checked-in export goldens byte for byte. The goldens
-// predate early stopping entirely, so they pin that classification moved
-// earlier in wall time but nowhere else.
+// TestEarlyStopEquivalenceMatrix is the export oracle of early stopping:
+// for every early-stop mode at 1 and 4 workers, the campaign must
+// reproduce the checked-in export goldens byte for byte. The goldens
+// predate early stopping entirely, so they pin that the dead-entry,
+// quiescence and re-convergence shortcuts moved classification earlier in
+// wall time but nowhere else.
 func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 	wantJSON, err := os.ReadFile(filepath.Join("testdata", "export_golden.json"))
 	if err != nil {
@@ -42,26 +40,13 @@ func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		name := fmt.Sprintf("w%d", workers)
-		taint := earlyStopCampaign(t, EarlyStopTaint, workers)
-		full := earlyStopCampaign(t, EarlyStopOff, workers)
-		resultsEqual(t, name, taint, full)
-		for _, run := range []struct {
-			mode string
-			res  *Result
-		}{{"taint", taint}, {"off", full}} {
-			var gotJSON, gotCSV bytes.Buffer
-			if err := run.res.WriteJSON(&gotJSON); err != nil {
-				t.Fatal(err)
+		for _, es := range []EarlyStopMode{EarlyStopConverge, EarlyStopOff} {
+			gotJSON, gotCSV := exportBytes(t, earlyStopCampaign(t, es, workers))
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("w%d-%v: JSON export deviates from golden", workers, es)
 			}
-			if err := run.res.WriteCSV(&gotCSV); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
-				t.Errorf("%s-%s: JSON export deviates from golden", name, run.mode)
-			}
-			if !bytes.Equal(gotCSV.Bytes(), wantCSV) {
-				t.Errorf("%s-%s: CSV export deviates from golden", name, run.mode)
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Errorf("w%d-%v: CSV export deviates from golden", workers, es)
 			}
 		}
 	}
@@ -150,10 +135,11 @@ func TestEarlyStopQuiescenceFastForward(t *testing.T) {
 	}
 }
 
-// TestEarlyStopModeStrings pins the flag-facing names and the parser.
+// TestEarlyStopModeStrings pins the flag-facing names and the parser:
+// exactly two modes, converge and off.
 func TestEarlyStopModeStrings(t *testing.T) {
-	if EarlyStopTaint.String() != "taint" || EarlyStopOff.String() != "off" {
-		t.Errorf("EarlyStopMode strings: %q, %q", EarlyStopTaint, EarlyStopOff)
+	if EarlyStopConverge.String() != "converge" || EarlyStopOff.String() != "off" {
+		t.Errorf("EarlyStopMode strings: %q, %q", EarlyStopConverge, EarlyStopOff)
 	}
 	if s := EarlyStopMode(99).String(); s == "" {
 		t.Error("unknown EarlyStopMode must still print")
@@ -161,16 +147,18 @@ func TestEarlyStopModeStrings(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want EarlyStopMode
-	}{{"taint", EarlyStopTaint}, {"off", EarlyStopOff}} {
+	}{{"converge", EarlyStopConverge}, {"off", EarlyStopOff}} {
 		got, err := ParseEarlyStopMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseEarlyStopMode(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParseEarlyStopMode("bogus"); err == nil {
-		t.Error("ParseEarlyStopMode accepted a bogus mode")
+	for _, bad := range []string{"taint", "bogus"} {
+		if _, err := ParseEarlyStopMode(bad); err == nil {
+			t.Errorf("ParseEarlyStopMode accepted %q", bad)
+		}
 	}
-	if err := (&Config{Workload: workload.Tiny, EarlyStop: EarlyStopMode(9)}).Validate(); err == nil {
+	if err := (&Config{Workload: workload.Tiny, EarlyStop: EarlyStopMode(2)}).Validate(); err == nil {
 		t.Error("Validate accepted an unknown EarlyStop mode")
 	}
 }

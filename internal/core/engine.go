@@ -56,7 +56,7 @@ type goldenRun struct {
 	events  []uarch.RetireEvent
 	retired map[uint64]struct{} // shadow seqnos that commit
 
-	// Early-stop liveness data (EarlyStopTaint/EarlyStopConverge): the
+	// Early-stop liveness data (EarlyStopConverge, or the prover): the
 	// golden continuation's touch trace over every entry, plus the cycles
 	// at which the fault-free run itself would trip each trial-loop
 	// monitor. A trial whose flipped entry is overwritten before the golden
@@ -198,7 +198,8 @@ func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 // goldenContinuation steps the worker's machine through the fault-free
 // continuation, recording a fresh goldenRun of per-cycle digests and the
 // retirement trace.
-// Under EarlyStopTaint it additionally records the liveness data the
+// When traced (EarlyStopConverge or the prover, transient models only for
+// the former) it additionally records the liveness data the
 // closed-form trial classifier needs: a first-touch trace over injectable
 // entries and the cycles at which the golden run itself trips the locked,
 // iTLB-stall and exception monitors. The monitor probes (FetchStalledIllegal,
@@ -214,18 +215,17 @@ func (w *worker) goldenContinuation() *goldenRun {
 	}
 	w.g = g
 	m.OnRetire = w.onGolden
-	// The prover consumes the same liveness data as the taint fast path, so
-	// either consumer arms the trace. Tracing is pure observation — it
-	// changes which trials are *drawn* only through the proof, never how a
-	// drawn trial executes. Convergence additionally records keyframes and
+	// The prover consumes the same liveness data as the dead-entry fast
+	// path, so either consumer arms the trace. Tracing is pure observation —
+	// it changes which trials are *drawn* only through the proof, never how
+	// a drawn trial executes. Convergence additionally records keyframes and
 	// the per-cycle monitor bits its certificate replays. Both consumers
 	// assume a one-shot fault, so non-transient models (whose Reassert keeps
 	// re-corrupting state) leave the trace and certificate unarmed: their
 	// trials run the full loop, accelerated only by quiescence once the
 	// fault has expired (see runTrial's armed gating).
-	transient := w.model.Transient()
-	conv := transient && w.cfg.EarlyStop == EarlyStopConverge
-	traced := conv || (transient && w.cfg.EarlyStop == EarlyStopTaint) || w.cfg.Prove != ProveOff
+	conv := w.model.Transient() && w.cfg.EarlyStop == EarlyStopConverge
+	traced := conv || w.cfg.Prove != ProveOff
 	var cyc uint64
 	if traced {
 		g.trace = m.F.NewTouchTrace()
@@ -680,14 +680,14 @@ func (w *worker) finishQuiescent(trial Trial, cyc, horizon, noRetire, itlbCnt in
 // seed the model's dedicated per-trial RNG (intermittent durations), which
 // is decoupled from the bit-draw stream.
 //
-// Under EarlyStopTaint two provably exact shortcuts apply. First, if the
-// golden liveness trace shows the flipped entry is dead (resolveDead), the
-// trial returns in O(1) without flipping or stepping — zero perturbation:
-// the RNG stream is untouched (the bit was drawn by the caller) and the
-// machine never leaves checkpoint state. Second, once the injected machine
-// quiesces mid-trial (Machine.Quiescent), the rest of the loop is resolved
-// in closed form (finishQuiescent). EarlyStopConverge keeps both and adds
-// the keyframe certificate (tryConverge): at every convStride boundary a
+// Under EarlyStopConverge three provably exact shortcuts apply. First, if
+// the golden liveness trace shows the flipped entry is dead (resolveDead),
+// the trial returns in O(1) without flipping or stepping — zero
+// perturbation: the RNG stream is untouched (the bit was drawn by the
+// caller) and the machine never leaves checkpoint state. Second, once the
+// injected machine quiesces mid-trial (Machine.Quiescent), the rest of the
+// loop is resolved in closed form (finishQuiescent). Third, the keyframe
+// certificate (tryConverge): at every convStride boundary a
 // still-running trial is diffed against the golden keyframe, and if every
 // differing entry is provably untouched by the golden run for the rest of
 // the horizon, the trial's future is bit-identical to the golden run's and
@@ -726,7 +726,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	// Dead-trial resolution assumes the corruption dies with the first
 	// overwrite, so it stands down for non-transient models (whose goldens
 	// are untraced anyway — the model gate here is defense in depth).
-	if g.traced && w.model.Transient() && w.cfg.EarlyStop.taintShortcuts() {
+	if g.traced && w.model.Transient() && w.cfg.EarlyStop != EarlyStopOff {
 		if out, mode, cyc, ok := w.resolveDead(bit, horizon); ok && (deadline == 0 || cyc < watchdogStride) {
 			trial.Outcome, trial.Mode = out, mode
 			trial.Cycles = int32(cyc)
@@ -838,7 +838,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 			trial.Outcome = OutMatch
 			return trial
 		}
-		if armed == nil && w.cfg.EarlyStop.taintShortcuts() && deadline == 0 && cyc < horizon && m.Quiescent() {
+		if armed == nil && w.cfg.EarlyStop != EarlyStopOff && deadline == 0 && cyc < horizon && m.Quiescent() {
 			kind = ResolveQuiesce
 			return w.finishQuiescent(trial, cyc, horizon, noRetire, itlbCnt)
 		}

@@ -148,8 +148,8 @@ func TestRestrictToModel(t *testing.T) {
 	if cfg.Prove != ProveOff {
 		t.Errorf("stuck-at config kept Prove=%v, want ProveOff", cfg.Prove)
 	}
-	if cfg.EarlyStop != EarlyStopTaint {
-		t.Errorf("stuck-at config kept EarlyStop=%v, want downgrade to EarlyStopTaint", cfg.EarlyStop)
+	if cfg.EarlyStop != EarlyStopConverge {
+		t.Errorf("stuck-at config EarlyStop=%v, want EarlyStopConverge kept", cfg.EarlyStop)
 	}
 	if cfg.ModelCrossCheck != 2 {
 		t.Errorf("stuck-at config lost ModelCrossCheck=%d, want 2", cfg.ModelCrossCheck)

@@ -26,13 +26,13 @@ func goldenCampaignConfig() Config {
 	}
 }
 
-// TestRewindEquivalence pins the engine's observable behavior at campaign
+// TestWorkerBatchGoldens pins the engine's observable behavior at campaign
 // scale: across 1, 4 and 8 workers and trial batches of 1, 8 and a whole
 // checkpoint, every run must reproduce the checked-in export goldens (JSON
 // and CSV) byte for byte. The goldens predate the undo-journal rewind, the
 // checkpoint images and the work-stealing pool, so they pin that none of
 // these mechanisms changed the simulator's observable behavior.
-func TestRewindEquivalence(t *testing.T) {
+func TestWorkerBatchGoldens(t *testing.T) {
 	type run struct {
 		name string
 		res  *Result

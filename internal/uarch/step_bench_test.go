@@ -8,7 +8,8 @@ import (
 )
 
 // BenchmarkStep measures raw detailed-model stepping on the Gzip
-// workload, the same loop cmd/pipebench reports as pipeline_cycles.
+// workload, the same untraced loop perfbench reports as
+// uarch.step_ns_per_cycle (there timed over a whole run to halt).
 func BenchmarkStep(b *testing.B) {
 	w := workload.Gzip
 	prog, err := w.Program()
