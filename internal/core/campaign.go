@@ -39,32 +39,12 @@ type Config struct {
 
 	// Horizon is the per-trial cycle budget (paper: 10,000).
 	Horizon int
-	// LockedCycles is the no-retirement deadlock-detection horizon. The
-	// paper uses 100; we use 200 so the timeout-flush protection (which
-	// fires at 100) gets a chance to recover before the monitor declares
-	// deadlock.
-	LockedCycles int
-	// WarmupCycles is the minimum warm-up before the first checkpoint.
-	WarmupCycles int
 
 	// Workers is the number of campaign worker goroutines. Zero means
 	// runtime.NumCPU(). The worker count never affects the
 	// Result: trial RNGs derive from (Seed, checkpoint index), so Workers:1
 	// and Workers:N are bit-identical.
 	Workers int //pipelint:identity-ok scheduling knob; any worker count produces bit-identical results
-
-	// TrialBatch is the number of trials per work-stealing unit
-	// (default 8). Batching never affects the Result: a batch's
-	// RNG stream is the checkpoint stream fast-forwarded to the batch's
-	// first trial, so trial bit picks depend only on (Seed, checkpoint,
-	// flat trial index).
-	TrialBatch int //pipelint:identity-ok batch geometry never affects results (prefix-replay fast-forward)
-
-	// MaxImages caps checkpoint images resident in the steal pool at once
-	// (default 2*Workers+2): the reachability pass blocks when the cap is
-	// reached and resumes as workers finish checkpoints, so campaign memory
-	// stays flat regardless of Checkpoints.
-	MaxImages int //pipelint:identity-ok memory cap; image residency never affects results
 
 	// OnProgress, if set, receives progress updates from the aggregation
 	// goroutine as trial batches and checkpoints complete. The callback is
@@ -80,11 +60,6 @@ type Config struct {
 	// for liveness — but only for trials that would otherwise livelock,
 	// and anomalies never enter the paper's four-outcome rates.
 	TrialTimeout time.Duration //pipelint:identity-ok watchdog kills only livelocked trials, which classify OutAnomaly outside all rates
-
-	// Clock supplies monotonic nanoseconds to the trial watchdog. Nil with
-	// TrialTimeout > 0 selects the wall clock; tests inject fake clocks to
-	// make watchdog expiry deterministic. Ignored when TrialTimeout is 0.
-	Clock func() int64 //pipelint:identity-ok watchdog time source; see TrialTimeout
 
 	// JournalPath, when set, appends every completed work unit's result to
 	// a campaign journal at this path as it is aggregated: a head record
@@ -157,6 +132,36 @@ type Config struct {
 	ModelCrossCheck int //pipelint:identity-ok soundness oracle; can only abort the campaign, never change results
 
 	Seed int64
+
+	// Engine parameters only the package's own tests set; zero means the
+	// default. None affects the Result (see steal.go), so none is part of
+	// the journal identity.
+	trialBatch int          // trials per work-stealing unit (default trialBatchDefault)
+	maxImages  int          // checkpoint images resident at once (default 2*Workers+2)
+	clock      func() int64 // watchdog time source, ns (default monoClock)
+}
+
+// Fixed campaign parameters.
+const (
+	// lockedCycles is the no-retirement deadlock-detection horizon. The
+	// paper uses 100; 200 gives the timeout-flush protection (which fires
+	// at 100) a chance to recover before the monitor declares deadlock.
+	lockedCycles = 200
+	// itlbStallCycles is the illegal-fetch-stall streak the trial loop
+	// classifies as an iTLB failure.
+	itlbStallCycles = 30
+	// warmupCycles is the minimum warm-up before the first checkpoint.
+	warmupCycles = 5_000
+	// trialBatchDefault is the number of trials per work-stealing unit.
+	trialBatchDefault = 8
+)
+
+// now reads the trial watchdog's clock.
+func (c *Config) now() int64 {
+	if c.clock != nil {
+		return c.clock()
+	}
+	return monoClock()
 }
 
 // EarlyStopMode selects the trial-termination strategy (see
@@ -303,12 +308,6 @@ func (c *Config) setDefaults() {
 	if c.Horizon == 0 {
 		c.Horizon = 10_000
 	}
-	if c.LockedCycles == 0 {
-		c.LockedCycles = 200
-	}
-	if c.WarmupCycles == 0 {
-		c.WarmupCycles = 5_000
-	}
 	if c.Checkpoints == 0 {
 		c.Checkpoints = 20
 	}
@@ -317,15 +316,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.TrialBatch == 0 {
-		c.TrialBatch = 8
-	}
-	if c.MaxImages == 0 {
-		c.MaxImages = 2*c.Workers + 2
-	}
-	if c.TrialTimeout > 0 && c.Clock == nil {
-		c.Clock = wallClock
 	}
 }
 
@@ -346,8 +336,8 @@ func (e *ConfigError) Error() string {
 // Validate rejects configurations that would fail obscurely (or hang)
 // mid-campaign, so a misconfigured campaign errors loudly at startup
 // instead. It judges the config as the caller supplied it: zero values
-// with documented defaults (Checkpoints, Horizon, Workers, TrialBatch,
-// MaxImages, ...) are accepted, explicitly out-of-range values are not.
+// with documented defaults (Checkpoints, Horizon, Workers, ...) are
+// accepted, explicitly out-of-range values are not.
 // Run calls Validate itself; command-line front ends call it directly to
 // reject bad flag combinations before any simulation work starts.
 func (c *Config) Validate() error {
@@ -362,11 +352,7 @@ func (c *Config) Validate() error {
 	}{
 		{c.Checkpoints < 0, "Checkpoints", c.Checkpoints, "Checkpoints must be >= 1 (0 means the default)"},
 		{c.Horizon < 0, "Horizon", c.Horizon, "Horizon must be >= 1 (0 means the default)"},
-		{c.LockedCycles < 0, "LockedCycles", c.LockedCycles, "LockedCycles must be >= 1 (0 means the default)"},
-		{c.WarmupCycles < 0, "WarmupCycles", c.WarmupCycles, "WarmupCycles must be >= 0"},
 		{c.Workers < 0, "Workers", c.Workers, "Workers must be >= 0 (0 means all CPUs)"},
-		{c.TrialBatch < 0, "TrialBatch", c.TrialBatch, "TrialBatch must be >= 1 (0 means the default)"},
-		{c.MaxImages < 0, "MaxImages", c.MaxImages, "MaxImages must be >= 1 (0 means the default)"},
 		{c.TrialTimeout < 0, "TrialTimeout", c.TrialTimeout, "TrialTimeout must be >= 0 (0 disables the watchdog)"},
 	} {
 		if check.bad {

@@ -182,7 +182,7 @@ func TestWatchdogExpiry(t *testing.T) {
 	cfg.Workers = 2
 	cfg.TrialTimeout = time.Millisecond
 	var tick atomic.Int64
-	cfg.Clock = func() int64 { return tick.Add(int64(time.Millisecond)) }
+	cfg.clock = func() int64 { return tick.Add(int64(time.Millisecond)) }
 
 	res, err := Run(cfg)
 	if err != nil {

@@ -237,3 +237,70 @@ func TestConvergeModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestMonitorReplay pins the closed-form monitor replay that dead-entry
+// resolution, quiescence and the convergence certificate share: firstEvent
+// resolves same-cycle ties in the trial loop's check order (exception,
+// locked, iTLB, match) and honors the horizon inclusively, and
+// firstLocked/firstITLB continue a streak carried in from cycle from.
+func TestMonitorReplay(t *testing.T) {
+	const limit = 100
+	events := []struct {
+		name                           string
+		excAt, lockedAt, itlbAt, match uint64
+		wantOut                        Outcome
+		wantMode                       FailureMode
+		wantAt                         uint64
+	}{
+		{"all-tie", 10, 10, 10, 10, OutSDC, FailDTLB, 10},
+		{"locked-beats-itlb-and-match", 0, 10, 10, 10, OutTerminated, FailLocked, 10},
+		{"itlb-beats-match", 0, 0, 10, 10, OutSDC, FailITLB, 10},
+		{"match-alone", 0, 0, 0, 10, OutMatch, FailNone, 10},
+		{"earliest-wins", 12, 11, 13, 9, OutMatch, FailNone, 9},
+		{"event-at-limit", 0, limit, 0, 0, OutTerminated, FailLocked, limit},
+		{"event-past-limit", limit + 1, limit + 1, limit + 1, limit + 1, OutGray, FailNone, limit},
+		{"no-event", 0, 0, 0, 0, OutGray, FailNone, limit},
+	}
+	for _, tc := range events {
+		out, mode, at := firstEvent(limit, tc.excAt, FailDTLB, tc.lockedAt, tc.itlbAt, tc.match)
+		if out != tc.wantOut || mode != tc.wantMode || at != tc.wantAt {
+			t.Errorf("firstEvent %s = (%v, %v, %d), want (%v, %v, %d)",
+				tc.name, out, mode, at, tc.wantOut, tc.wantMode, tc.wantAt)
+		}
+	}
+
+	// Cycles 1..320: instructions retire at cycle 60 only; the fetch stalls
+	// on an illegal address at cycles 40..75 and from 90 on.
+	const n = 320
+	retire := make([]uint64, (n+63)/64)
+	illegal := make([]uint64, (n+63)/64)
+	setBitAt(retire, 60)
+	for c := uint64(1); c <= n; c++ {
+		if c >= 40 && c <= 75 || c >= 90 {
+			setBitAt(illegal, c)
+		}
+	}
+	replays := []struct {
+		name        string
+		fn          func([]uint64, uint64, int, uint64) uint64
+		bits        []uint64
+		from        uint64
+		streak      int
+		limit, want uint64
+	}{
+		{"locked-carried-streak", firstLocked, retire, 50, lockedCycles - 5, n, 55},
+		{"locked-streak-reset", firstLocked, retire, 58, lockedCycles - 2, n, 60 + lockedCycles},
+		{"locked-fresh-at-limit", firstLocked, retire, 60, 0, 60 + lockedCycles, 60 + lockedCycles},
+		{"locked-fresh-past-limit", firstLocked, retire, 60, 0, 60 + lockedCycles - 1, 0},
+		{"itlb-from-zero", firstITLB, illegal, 0, 0, n, 40 + itlbStallCycles - 1},
+		{"itlb-carried-streak", firstITLB, illegal, 45, itlbStallCycles - 1, n, 46},
+		{"itlb-streak-reset", firstITLB, illegal, 74, itlbStallCycles - 2, n, 90 + itlbStallCycles - 1},
+		{"itlb-at-limit", firstITLB, illegal, 80, 0, 90 + itlbStallCycles - 1, 90 + itlbStallCycles - 1},
+		{"itlb-past-limit", firstITLB, illegal, 80, 0, 90 + itlbStallCycles - 2, 0},
+	}
+	for _, tc := range replays {
+		if got := tc.fn(tc.bits, tc.from, tc.streak, tc.limit); got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

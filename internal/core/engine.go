@@ -20,12 +20,17 @@ const maxMeasureCycles = 30_000_000
 // livelocked trial dies within tens of microseconds of its budget.
 const watchdogStride = 64
 
-// wallClock is the default trial-watchdog time source (monotonic-enough
-// nanoseconds). The watchdog is the one sanctioned wall-clock input in the
-// campaign engine: its only effect is to kill a livelocked trial, which is
-// then counted OutAnomaly — outside the deterministic four-outcome rates.
-func wallClock() int64 {
-	return time.Now().UnixNano() //pipelint:wallclock-ok trial watchdog liveness check; expiries classify as OutAnomaly outside the deterministic four-outcome rates
+// epoch anchors monoClock. The watchdog is the one sanctioned wall-clock
+// input in the campaign engine: its only effect is to kill a livelocked
+// trial, which is then counted OutAnomaly — outside the deterministic
+// four-outcome rates.
+var epoch = time.Now() //pipelint:wallclock-ok trial watchdog liveness check; expiries classify as OutAnomaly outside the deterministic four-outcome rates
+
+// monoClock is the default trial-watchdog time source: nanoseconds since
+// epoch on Go's monotonic clock, so a wall-clock step (an NTP correction,
+// say) neither fires nor postpones an expiry.
+func monoClock() int64 {
+	return int64(time.Since(epoch))
 }
 
 // convStride is the cycle spacing of convergence keyframes along the
@@ -66,23 +71,26 @@ type goldenRun struct {
 	// without tracing (no early-stop or prover consumer wants the trace)
 	// leave it false and every trial takes the full loop.
 	trace    *state.TouchTrace
-	lockedAt uint64 // first cycle the no-retire streak reaches LockedCycles
-	itlbAt   uint64 // first cycle the illegal-fetch-stall streak reaches 30
+	lockedAt uint64 // first cycle the no-retire streak reaches lockedCycles
+	itlbAt   uint64 // first cycle the illegal-fetch-stall streak reaches itlbStallCycles
 	excAt    uint64 // first cycle an exception reaches retirement
 	excMode  FailureMode
 	traced   bool
 
-	// Convergence-certificate data (EarlyStopConverge): state keyframes at
-	// convStride boundaries up to the trial horizon, plus the golden run's
-	// per-cycle retire/illegal-fetch bits and cumulative retire-event
-	// counts, which let tryConverge replay the remaining trial-loop
-	// monitors in closed form once a trial's divergence is proven frozen.
-	// conv gates the certificate exactly as traced gates the taint paths.
-	conv        bool
-	keyframes   []keyframe
+	// The per-cycle monitor inputs of a traced golden run, from which
+	// lockedAt and itlbAt are replayed (firstLocked, firstITLB).
 	retireBits  []uint64 // bit (c-1): >=1 instruction retired at cycle c
 	illegalBits []uint64 // bit (c-1): FetchStalledIllegal() after cycle c
-	evCount     []uint32 // evCount[c-1] = len(events) after cycle c
+
+	// Convergence-certificate data (EarlyStopConverge): state keyframes at
+	// convStride boundaries up to the trial horizon and cumulative
+	// retire-event counts, which with the monitor bits let tryConverge
+	// replay the remaining trial-loop monitors in closed form once a
+	// trial's divergence is proven frozen. conv gates the certificate
+	// exactly as traced gates the taint paths.
+	conv      bool
+	keyframes []keyframe
+	evCount   []uint32 // evCount[c-1] = len(events) after cycle c
 }
 
 // bitAt reads cycle c's flag from a per-cycle bitset.
@@ -93,6 +101,69 @@ func bitAt(bits []uint64, c uint64) bool {
 // setBitAt sets cycle c's flag in a pre-sized per-cycle bitset.
 func setBitAt(bits []uint64, c uint64) {
 	bits[(c-1)>>6] |= 1 << ((c - 1) & 63)
+}
+
+// firstLocked replays the locked-pipeline monitor over a golden run's
+// retire bits: entering cycle from+1 with a no-retire streak of streak
+// cycles, it returns the first cycle at or before limit at which the
+// streak reaches lockedCycles, or 0 if none does.
+func firstLocked(retireBits []uint64, from uint64, streak int, limit uint64) uint64 {
+	for c := from + 1; c <= limit; c++ {
+		if bitAt(retireBits, c) {
+			streak = 0
+			continue
+		}
+		if streak++; streak >= lockedCycles {
+			return c
+		}
+	}
+	return 0
+}
+
+// firstITLB replays the iTLB-stall monitor over a golden run's
+// illegal-fetch bits: entering cycle from+1 with a stall streak of streak
+// cycles, it returns the first cycle at or before limit at which the
+// streak reaches itlbStallCycles, or 0 if none does.
+func firstITLB(illegalBits []uint64, from uint64, streak int, limit uint64) uint64 {
+	for c := from + 1; c <= limit; c++ {
+		if !bitAt(illegalBits, c) {
+			streak = 0
+			continue
+		}
+		if streak++; streak >= itlbStallCycles {
+			return c
+		}
+	}
+	return 0
+}
+
+// firstEvent classifies a trial whose remaining monitor events are known in
+// closed form: the cycles at which an exception of kind excMode reaches
+// retirement, the pipeline locks, the iTLB-stall streak completes and the
+// digest matches the golden run (0 = never). The earliest event at or
+// before limit wins, and same-cycle ties resolve in the trial loop's check
+// order: exception, locked, iTLB, match. No event by limit is Gray at
+// limit, exactly like a full-horizon run.
+func firstEvent(limit, excAt uint64, excMode FailureMode, lockedAt, itlbAt, matchAt uint64) (Outcome, FailureMode, uint64) {
+	out, mode, best := OutGray, FailNone, limit+1
+	for _, ev := range [...]struct {
+		at   uint64
+		out  Outcome
+		mode FailureMode
+	}{
+		{excAt, excMode.Outcome(), excMode},
+		{lockedAt, OutTerminated, FailLocked},
+		{itlbAt, OutSDC, FailITLB},
+		{matchAt, OutMatch, FailNone},
+	} {
+		if ev.at != 0 && ev.at < best {
+			out, mode, best = ev.out, ev.mode, ev.at
+		}
+	}
+	if best > limit {
+		return OutGray, FailNone, limit
+	}
+	return out, mode, best
 }
 
 // trialMonitor is the per-trial divergence/exception classifier state. It
@@ -176,6 +247,8 @@ type worker struct {
 	ckMark uarch.MarkPoint
 	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
 	trialMark uarch.MarkPoint
+	//pipelint:shadow-ok checkpoint image currently materialized on m (see ensureAt); engine scaffolding
+	cur *ckImage
 
 	// Callbacks built once per worker and re-attached per golden run/trial.
 	onGolden func(uarch.RetireEvent)
@@ -201,12 +274,13 @@ func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 // When traced (EarlyStopConverge or the prover, transient models only for
 // the former) it additionally records the liveness data the
 // closed-form trial classifier needs: a first-touch trace over injectable
-// entries and the cycles at which the golden run itself trips the locked,
-// iTLB-stall and exception monitors. The monitor probes (FetchStalledIllegal,
-// retire accounting) run with the trace attached, so every state read a
-// trial's per-cycle classification would perform is captured — the
-// soundness condition for treating an unread-then-overwritten entry as
-// dead. The caller rewinds the machine afterwards.
+// entries, the per-cycle retire and illegal-fetch bits, and the cycles at
+// which the golden run itself trips the exception monitor and — replayed
+// from those bits — the locked and iTLB-stall monitors. The monitor probes
+// (FetchStalledIllegal, retire accounting) run with the trace attached, so
+// every state read a trial's per-cycle classification would perform is
+// captured — the soundness condition for treating an unread-then-overwritten
+// entry as dead. The caller rewinds the machine afterwards.
 func (w *worker) goldenContinuation() *goldenRun {
 	m := w.m
 	g := &goldenRun{
@@ -218,8 +292,8 @@ func (w *worker) goldenContinuation() *goldenRun {
 	// The prover consumes the same liveness data as the dead-entry fast
 	// path, so either consumer arms the trace. Tracing is pure observation —
 	// it changes which trials are *drawn* only through the proof, never how
-	// a drawn trial executes. Convergence additionally records keyframes and
-	// the per-cycle monitor bits its certificate replays. Both consumers
+	// a drawn trial executes. Convergence additionally records the keyframes
+	// and retire-event counts its certificate checks. Both consumers
 	// assume a one-shot fault, so non-transient models (whose Reassert keeps
 	// re-corrupting state) leave the trace and certificate unarmed: their
 	// trials run the full loop, accelerated only by quiescence once the
@@ -242,14 +316,14 @@ func (w *worker) goldenContinuation() *goldenRun {
 			}
 		}
 	}
-	if conv {
+	if traced {
 		nw := int(w.horizonG+63) / 64
 		g.retireBits = make([]uint64, nw)
 		g.illegalBits = make([]uint64, nw)
+	}
+	if conv {
 		g.evCount = make([]uint32, 0, w.horizonG)
 	}
-	noRetire := 0
-	itlbCnt := 0
 	lastRetired := m.Retired
 	for cyc = 1; cyc <= w.horizonG; cyc++ {
 		if traced {
@@ -260,32 +334,14 @@ func (w *worker) goldenContinuation() *goldenRun {
 		if !traced {
 			continue
 		}
-		retired := m.Retired > lastRetired
-		if retired {
+		if m.Retired > lastRetired {
 			lastRetired = m.Retired
-			noRetire = 0
-		} else {
-			noRetire++
-			if g.lockedAt == 0 && noRetire >= w.cfg.LockedCycles {
-				g.lockedAt = cyc
-			}
+			setBitAt(g.retireBits, cyc)
 		}
-		illegal := m.FetchStalledIllegal()
-		if illegal {
-			itlbCnt++
-			if g.itlbAt == 0 && itlbCnt >= 30 {
-				g.itlbAt = cyc
-			}
-		} else {
-			itlbCnt = 0
+		if m.FetchStalledIllegal() {
+			setBitAt(g.illegalBits, cyc)
 		}
 		if conv {
-			if retired {
-				setBitAt(g.retireBits, cyc)
-			}
-			if illegal {
-				setBitAt(g.illegalBits, cyc)
-			}
 			g.evCount = append(g.evCount, uint32(len(g.events)))
 			if cyc&(convStride-1) == 0 && cyc <= uint64(w.cfg.Horizon) {
 				g.keyframes = append(g.keyframes, keyframe{
@@ -299,6 +355,8 @@ func (w *worker) goldenContinuation() *goldenRun {
 	if traced {
 		m.F.StopTrace()
 		m.OnExc = nil
+		g.lockedAt = firstLocked(g.retireBits, 0, 0, w.horizonG)
+		g.itlbAt = firstITLB(g.illegalBits, 0, 0, w.horizonG)
 	}
 	m.OnRetire = nil
 	g.traced = traced
@@ -591,11 +649,9 @@ func (w *worker) runTrialContained(bit state.BitRef, ck, idx int) Trial {
 // digest differs from golden by the flipped entry's contribution, which is
 // nonzero because mix(pos, ·) is injective), and the locked / iTLB /
 // exception monitors fire exactly when the golden run's own monitors
-// would. The earliest event within the horizon wins; consider() is called
-// in the trial loop's same-cycle check order so ties resolve identically.
-// No event within the horizon means Gray at the horizon, exactly like a
-// full-horizon run. The architectural-divergence check can never fire
-// before cw (events are identical), so it never wins.
+// would; firstEvent picks the earliest in the trial loop's same-cycle check
+// order. The architectural-divergence check can never fire before cw
+// (events are identical), so it never wins.
 func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mode FailureMode, cycles int, ok bool) {
 	g := w.g
 	if !bit.Elem.Injectable() {
@@ -608,69 +664,41 @@ func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mo
 		return 0, FailNone, 0, false // golden reads the entry while corrupt
 	}
 
-	var best uint64
-	consider := func(at uint64, o Outcome, md FailureMode) {
-		if at == 0 || at > h {
-			return
-		}
-		if best != 0 && at >= best {
-			return
-		}
-		best, outcome, mode = at, o, md
-	}
-	consider(g.excAt, g.excMode.Outcome(), g.excMode)
-	consider(g.lockedAt, OutTerminated, FailLocked)
-	consider(g.itlbAt, OutSDC, FailITLB)
-	consider(matchAt, OutMatch, FailNone)
-	if best == 0 {
-		return OutGray, FailNone, horizon, true
-	}
-	return outcome, mode, int(best), true
+	outcome, mode, at := firstEvent(h, g.excAt, g.excMode, g.lockedAt, g.itlbAt, matchAt)
+	return outcome, mode, int(at), true
 }
 
 // finishQuiescent resolves a trial whose machine has reached a write-free
 // fixed point at cycle cyc: every remaining Step is a no-op, so the digest,
 // the retire stream and the fetch-stall predicate are all frozen and the
-// rest of the trial loop is a closed form over frozen values. Check order
-// within a cycle matches the loop: locked, then iTLB, then digest match.
-// The divergence and exception monitors cannot fire again (both require a
-// retirement-path event, which implies a state write).
+// rest of the trial loop is a closed form over frozen values: no
+// instruction retires again, and the fetch-stall predicate holds forever or
+// never. Both streaks are below their thresholds (the loop checked them at
+// cyc), so each event lands after cyc. The divergence and exception
+// monitors cannot fire again (both require a retirement-path event, which
+// implies a state write).
 func (w *worker) finishQuiescent(trial Trial, cyc, horizon, noRetire, itlbCnt int) Trial {
 	m := w.m
 	g := w.g
+	c := uint64(cyc)
 
-	lockedAt := cyc + (w.cfg.LockedCycles - noRetire)
-	itlbAt := 0
+	lockedAt := c + uint64(lockedCycles-noRetire)
+	var itlbAt, matchAt uint64
 	if m.FetchStalledIllegal() {
-		itlbAt = cyc + (30 - itlbCnt)
+		itlbAt = c + uint64(itlbStallCycles-itlbCnt)
 	}
-	matchAt := 0
 	if !w.mon.outOfTrace {
 		d := m.TraceDigest()
-		for c := cyc + 1; c <= horizon; c++ {
-			if g.digests[c-1] == d {
-				matchAt = c
+		for j := cyc + 1; j <= horizon; j++ {
+			if g.digests[j-1] == d {
+				matchAt = uint64(j)
 				break
 			}
 		}
 	}
-
-	best := horizon + 1
-	trial.Outcome, trial.Mode = OutGray, FailNone
-	trial.Cycles = int32(horizon)
-	consider := func(at int, o Outcome, md FailureMode) {
-		if at > cyc && at < best {
-			best, trial.Outcome, trial.Mode = at, o, md
-			trial.Cycles = int32(at)
-		}
-	}
-	consider(lockedAt, OutTerminated, FailLocked)
-	if itlbAt != 0 {
-		consider(itlbAt, OutSDC, FailITLB)
-	}
-	if matchAt != 0 {
-		consider(matchAt, OutMatch, FailNone)
-	}
+	var at uint64
+	trial.Outcome, trial.Mode, at = firstEvent(uint64(horizon), 0, FailNone, lockedAt, itlbAt, matchAt)
+	trial.Cycles = int32(at)
 	return trial
 }
 
@@ -715,12 +743,12 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		horizon = n
 	}
 	// Trial watchdog: a corrupted machine can livelock in ways the
-	// LockedCycles monitor never sees (e.g. a Step loop that keeps
+	// locked-pipeline monitor never sees (e.g. a Step loop that keeps
 	// retiring garbage). The deadline is read every watchdogStride cycles;
 	// expiry kills the trial as OutAnomaly.
 	var deadline int64
-	if w.cfg.TrialTimeout > 0 && w.cfg.Clock != nil {
-		deadline = w.cfg.Clock() + int64(w.cfg.TrialTimeout)
+	if w.cfg.TrialTimeout > 0 {
+		deadline = w.cfg.now() + int64(w.cfg.TrialTimeout)
 	}
 
 	// Dead-trial resolution assumes the corruption dies with the first
@@ -773,7 +801,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	itlbCnt := 0
 	lastRetired := m.Retired
 	for cyc := 1; cyc <= horizon; cyc++ {
-		if deadline != 0 && cyc&(watchdogStride-1) == 0 && w.cfg.Clock() >= deadline {
+		if deadline != 0 && cyc&(watchdogStride-1) == 0 && w.cfg.now() >= deadline {
 			trial.Outcome = OutAnomaly
 			trial.Cycles = int32(cyc)
 			trial.Anomaly = &Anomaly{
@@ -811,7 +839,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 			noRetire = 0
 		} else {
 			noRetire++
-			if noRetire >= w.cfg.LockedCycles {
+			if noRetire >= lockedCycles {
 				kind = ResolveMonitor
 				trial.Outcome, trial.Mode = OutTerminated, FailLocked
 				return trial
@@ -819,7 +847,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		}
 		if m.FetchStalledIllegal() {
 			itlbCnt++
-			if itlbCnt >= 30 {
+			if itlbCnt >= itlbStallCycles {
 				kind = ResolveMonitor
 				trial.Outcome, trial.Mode = OutSDC, FailITLB
 				return trial
@@ -976,54 +1004,11 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon, noRetire, itlbCnt int) (
 	// same-cycle check order: exception, locked, illegal-fetch streak.
 	// Divergence cannot fire (the remaining event streams are identical and
 	// aligned) and the digest match cannot fire (see above).
-	lockedAt := uint64(0)
-	s := noRetire
-	for j := c + 1; j <= uint64(horizon); j++ {
-		if bitAt(g.retireBits, j) {
-			s = 0
-			continue
-		}
-		s++
-		if s >= w.cfg.LockedCycles {
-			lockedAt = j
-			break
-		}
-	}
-	itlbAt := uint64(0)
-	cnt := itlbCnt
-	for j := c + 1; j <= uint64(horizon); j++ {
-		if !bitAt(g.illegalBits, j) {
-			cnt = 0
-			continue
-		}
-		cnt++
-		if cnt >= 30 {
-			itlbAt = j
-			break
-		}
-	}
-
-	var best uint64
-	var outcome Outcome
-	var mode FailureMode
-	consider := func(at uint64, o Outcome, md FailureMode) {
-		if at == 0 || at > uint64(horizon) {
-			return
-		}
-		if best != 0 && at >= best {
-			return
-		}
-		best, outcome, mode = at, o, md
-	}
-	consider(g.excAt, g.excMode.Outcome(), g.excMode)
-	consider(lockedAt, OutTerminated, FailLocked)
-	consider(itlbAt, OutSDC, FailITLB)
-	if best == 0 {
-		trial.Outcome, trial.Mode = OutGray, FailNone
-		trial.Cycles = int32(horizon)
-		return trial, true
-	}
-	trial.Outcome, trial.Mode = outcome, mode
-	trial.Cycles = int32(best)
+	h := uint64(horizon)
+	lockedAt := firstLocked(g.retireBits, c, noRetire, h)
+	itlbAt := firstITLB(g.illegalBits, c, itlbCnt, h)
+	var at uint64
+	trial.Outcome, trial.Mode, at = firstEvent(h, g.excAt, g.excMode, lockedAt, itlbAt, 0)
+	trial.Cycles = int32(at)
 	return trial, true
 }

@@ -518,7 +518,7 @@ func TestModelSchedulerEquivalence(t *testing.T) {
 			}
 			for _, sc := range []struct{ workers, batch int }{{4, 8}, {8, 1}} {
 				cfg.Workers = sc.workers
-				cfg.TrialBatch = sc.batch
+				cfg.trialBatch = sc.batch
 				got, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -39,9 +39,11 @@ var ErrJournalMismatch = errors.New("core: campaign journal belongs to a differe
 
 // journalHeader pins the identity of the campaign a journal belongs to:
 // every field that affects trial results. Scheduling knobs (Workers,
-// TrialBatch, MaxImages, TrialTimeout) are deliberately
-// absent — they never perturb results, so a campaign may be resumed with
-// different parallelism than it started with.
+// TrialTimeout) are deliberately absent — they never perturb results, so a
+// campaign may be resumed with different parallelism than it started with.
+// The locked-pipeline and warm-up thresholds are fixed constants today but
+// stay in the header, so journals written under other values are refused
+// and existing journals keep resuming byte for byte.
 type journalHeader struct {
 	V            int          `json:"v"`
 	Benchmark    string       `json:"benchmark"`
@@ -71,8 +73,8 @@ func journalHeaderFor(cfg *Config) journalHeader {
 		Seed:         cfg.Seed,
 		Checkpoints:  cfg.Checkpoints,
 		Horizon:      cfg.Horizon,
-		LockedCycles: cfg.LockedCycles,
-		WarmupCycles: cfg.WarmupCycles,
+		LockedCycles: lockedCycles,
+		WarmupCycles: warmupCycles,
 		Protect:      fmt.Sprintf("%+v", cfg.Protect),
 		Recovery:     int(cfg.Recovery),
 		// Prove restricts sampling to the unproven population, so which

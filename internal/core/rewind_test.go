@@ -42,7 +42,7 @@ func TestWorkerBatchGoldens(t *testing.T) {
 		for _, batch := range []int{1, 8, 4 + 3} {
 			cfg := goldenCampaignConfig()
 			cfg.Workers = workers
-			cfg.TrialBatch = batch
+			cfg.trialBatch = batch
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -53,13 +53,76 @@ func Resume(ctx context.Context, cfg Config) (*Result, error) {
 	return start(ctx, cfg, true)
 }
 
-// start validates, measures the golden run, selects checkpoint cycles and
-// hands off to the engine. It is shared by RunContext and Resume.
+// start plans the campaign and hands off to the engine. It is shared by
+// RunContext and Resume.
 func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
+	p, err := planCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = p.cfg
+	res := &Result{
+		Benchmark:   cfg.Workload.Name,
+		Protected:   cfg.Protect.Any(),
+		Model:       resolveModel(cfg.Model).String(),
+		Pops:        make(map[string]*PopResult, len(cfg.Populations)),
+		Scatter:     make(map[string][]ScatterPoint, len(cfg.Populations)),
+		TotalCycles: p.total,
+		IPC:         float64(p.retired) / float64(p.total),
+	}
+	for _, pop := range cfg.Populations {
+		res.Pops[pop.Name] = &PopResult{Name: pop.Name}
+	}
+	return runCampaign(ctx, cfg, p.newMachine, p.cycles, p.horizonG, res, resume)
+}
+
+// campaignPlan is what every campaign entry point derives from a Config
+// before its first golden continuation: the validated, defaulted config, a
+// factory for machines at reset state, the end-to-end golden measurement
+// and the checkpoint schedule.
+type campaignPlan struct {
+	cfg        Config
+	newMachine func() *uarch.Machine
+	total      uint64 // golden end-to-end cycle count
+	retired    uint64 // instructions the golden run retires
+	horizonG   uint64 // golden-continuation horizon: trial horizon plus slack
+	cycles     []uint64
+}
+
+// planCampaign validates and defaults cfg, runs the measurement pass and
+// selects the checkpoint cycles. Run, Resume and SurveyProofs share it, so
+// a survey inspects the exact schedule a campaign with the same config
+// would run.
+func planCampaign(cfg Config) (*campaignPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.setDefaults()
+	newMachine, err := machineFactory(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	meas := newMachine()
+	meas.Run(maxMeasureCycles)
+	if !meas.Halted() {
+		return nil, fmt.Errorf("core: %s did not halt within %d cycles", cfg.Workload.Name, uint64(maxMeasureCycles))
+	}
+	for _, pop := range cfg.Populations {
+		if meas.F.InjectableBits(pop.LatchOnly) == 0 {
+			return nil, fmt.Errorf("core: population %q has no injectable bits", pop.Name)
+		}
+	}
+	horizonG := uint64(cfg.Horizon + 2000)
+	cycles, err := selectCheckpoints(&cfg, meas.Cycle, horizonG)
+	if err != nil {
+		return nil, err
+	}
+	return &campaignPlan{cfg: cfg, newMachine: newMachine, total: meas.Cycle, retired: meas.Retired, horizonG: horizonG, cycles: cycles}, nil
+}
+
+// machineFactory builds the workload's program and reference run once and
+// returns a constructor for fresh machines at the program's entry state.
+func machineFactory(cfg *Config) (func() *uarch.Machine, error) {
 	prog, err := cfg.Workload.Program()
 	if err != nil {
 		return nil, err
@@ -69,59 +132,19 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 		return nil, err
 	}
 	ucfg := uarch.Config{Protect: cfg.Protect, Recovery: cfg.Recovery}
-
-	newMachine := func() *uarch.Machine {
+	return func() *uarch.Machine {
 		mm := mem.New()
 		regs := prog.Load(mm)
 		return uarch.NewOnMemory(ucfg, mm, ref.Legal, prog.Entry, regs)
-	}
-
-	// Measurement pass: end-to-end golden cycle count.
-	meas := newMachine()
-	meas.Run(maxMeasureCycles)
-	if !meas.Halted() {
-		return nil, fmt.Errorf("core: %s did not halt within %d cycles", cfg.Workload.Name, uint64(maxMeasureCycles))
-	}
-	total := meas.Cycle
-	retiredTotal := meas.Retired
-
-	for _, pop := range cfg.Populations {
-		if meas.F.InjectableBits(pop.LatchOnly) == 0 {
-			return nil, fmt.Errorf("core: population %q has no injectable bits", pop.Name)
-		}
-	}
-
-	res := &Result{
-		Benchmark:   cfg.Workload.Name,
-		Protected:   cfg.Protect.Any(),
-		Model:       resolveModel(cfg.Model).String(),
-		Pops:        make(map[string]*PopResult, len(cfg.Populations)),
-		Scatter:     make(map[string][]ScatterPoint, len(cfg.Populations)),
-		TotalCycles: total,
-		IPC:         float64(retiredTotal) / float64(total),
-	}
-	for _, p := range cfg.Populations {
-		res.Pops[p.Name] = &PopResult{Name: p.Name}
-	}
-
-	// Choose checkpoint cycles.
-	horizonG := uint64(cfg.Horizon + 2000)
-	cycles, err := selectCheckpoints(&cfg, total, horizonG)
-	if err != nil {
-		return nil, err
-	}
-
-	return runCampaign(ctx, cfg, newMachine, cycles, horizonG, res, resume)
+	}, nil
 }
 
 // selectCheckpoints draws the campaign's checkpoint cycles from the seeded
 // RNG, confined to the window where a full trial horizon (plus golden
-// slack) fits before the workload halts. Shared by the campaign entry
-// point and SurveyProofs so a survey inspects the exact schedule a
-// campaign with the same config would run.
+// slack) fits before the workload halts.
 func selectCheckpoints(cfg *Config, total, horizonG uint64) ([]uint64, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	lo := uint64(cfg.WarmupCycles)
+	lo := uint64(warmupCycles)
 	hi := uint64(0)
 	if total > horizonG+500 {
 		hi = total - horizonG - 500
@@ -152,10 +175,8 @@ func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machi
 		return nil, fmt.Errorf("core: trial horizon %d exceeds the golden-run horizon %d; the convergence check would run past the golden digest trace",
 			cfg.Horizon, horizonG)
 	}
-	totalPerCk := 0
-	for _, p := range cfg.Populations {
-		totalPerCk += p.Trials
-	}
+	popStart := popStarts(&cfg)
+	totalPerCk := popStart[len(popStart)-1]
 	prior := emptyPrior(len(cycles), totalPerCk)
 	var jw *campaignJournal
 	if cfg.JournalPath != "" {
@@ -229,14 +250,10 @@ type progressTracker struct {
 	snap Progress
 }
 
-func newProgressTracker(cfg Config, checkpoints int) *progressTracker {
-	t := &progressTracker{cb: cfg.OnProgress}
+func newProgressTracker(cb func(Progress), checkpoints, perCk int) *progressTracker {
+	t := &progressTracker{cb: cb}
 	t.snap.Checkpoints = checkpoints
-	var perCk int64
-	for _, p := range cfg.Populations {
-		perCk += int64(p.Trials)
-	}
-	t.snap.Trials = perCk * int64(checkpoints)
+	t.snap.Trials = int64(perCk) * int64(checkpoints)
 	return t
 }
 

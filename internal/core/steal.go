@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"sync"
@@ -15,7 +16,7 @@ import (
 // Phase 1 — reachability: a single pilot machine advances through the
 // workload once, capturing at each checkpoint a portable image (bit-store
 // snapshot + copy-on-write memory image) and pushing the checkpoint's head
-// unit into the pool. The pilot blocks while Config.MaxImages images are
+// unit into the pool. The pilot blocks while 2*Workers+2 images are
 // resident, so campaign memory stays flat no matter how many checkpoints
 // the campaign has.
 //
@@ -29,8 +30,8 @@ import (
 // fast-forwarded by replaying the preceding trials' bit draws (draws
 // depend only on the rng and the frozen element layout, never on machine
 // state), and aggregation places trials by flat index and folds in
-// checkpoint order — so the Result is bit-identical for any Workers,
-// TrialBatch and MaxImages.
+// checkpoint order — so the Result is bit-identical for any worker count,
+// batch size and image cap.
 //
 // Rewind: once its image is materialized, a unit copies no machine state.
 // It opens one undo-journal bracket (state file and memory) at the
@@ -237,28 +238,21 @@ func runStealPilot(ctx context.Context, m *uarch.Machine, cycles []uint64, p *st
 	}
 }
 
-// stealWorker wraps the trial-running worker with the image it currently
-// has materialized, so hopping to a unit on the same checkpoint is free
-// and hopping between checkpoints is a pointer-diffed image restore.
-type stealWorker struct {
-	w   *worker
-	cur *ckImage
-}
-
-// ensureAt materializes img on the worker's machine. Between units the
-// machine always sits exactly at its current image's checkpoint state
-// (every golden run and trial is rolled back), so the current image is a
-// valid RestoreImage prev.
-func (sw *stealWorker) ensureAt(img *ckImage) {
-	if sw.cur == img {
+// ensureAt materializes img on the worker's machine, so hopping to a unit
+// on the same checkpoint is free and hopping between checkpoints is a
+// pointer-diffed image restore. Between units the machine always sits
+// exactly at its current image's checkpoint state (every golden run and
+// trial is rolled back), so the current image is a valid RestoreImage prev.
+func (w *worker) ensureAt(img *ckImage) {
+	if w.cur == img {
 		return
 	}
 	var prev *mem.Image
-	if sw.cur != nil {
-		prev = sw.cur.mem
+	if w.cur != nil {
+		prev = w.cur.mem
 	}
-	sw.w.m.RestoreCheckpoint(img.snap, img.mem, prev)
-	sw.cur = img
+	w.m.RestoreCheckpoint(img.snap, img.mem, prev)
+	w.cur = img
 }
 
 // golden runs the checkpoint's fault-free continuation on the worker's
@@ -285,18 +279,39 @@ func (w *worker) golden() (*goldenRun, int) {
 	return g, validInsns
 }
 
+// trialLayout is a checkpoint's flat trial sequence: trial i belongs to
+// population popOf[i], and the sequence splits into batches of size trials
+// (the last one clamped) — the work-stealing units. Shared, read-only.
+type trialLayout struct {
+	popOf   []int
+	size    int
+	batches int
+}
+
+func newTrialLayout(cfg *Config) *trialLayout {
+	l := &trialLayout{size: cmp.Or(cfg.trialBatch, trialBatchDefault)}
+	for pi, p := range cfg.Populations {
+		for t := 0; t < p.Trials; t++ {
+			l.popOf = append(l.popOf, pi)
+		}
+	}
+	l.batches = (len(l.popOf) + l.size - 1) / l.size
+	return l
+}
+
+// span returns batch b's flat trial range [start, end).
+func (l *trialLayout) span(b int) (start, end int) {
+	start = b * l.size
+	return start, min(start+l.size, len(l.popOf))
+}
+
 // missingBatches lists the batch indices of checkpoint ck the journal does
 // not fully cover. A partially covered batch is re-run whole: trials are
 // deterministic, so the overlap reproduces the journaled trials exactly.
-func missingBatches(prior *priorUnits, ck, totalPerCk, trialBatch, batches int) []int {
-	out := make([]int, 0, batches)
-	for b := 0; b < batches; b++ {
-		start := b * trialBatch
-		end := start + trialBatch
-		if end > totalPerCk {
-			end = totalPerCk
-		}
-		if !prior.covered(ck, start, end) {
+func missingBatches(prior *priorUnits, ck int, lay *trialLayout) []int {
+	out := make([]int, 0, lay.batches)
+	for b := 0; b < lay.batches; b++ {
+		if start, end := lay.span(b); !prior.covered(ck, start, end) {
 			out = append(out, b)
 		}
 	}
@@ -304,18 +319,15 @@ func missingBatches(prior *priorUnits, ck, totalPerCk, trialBatch, batches int) 
 }
 
 // runBatch runs one batch of a checkpoint's trials against its shared
-// golden run. popOf maps flat trial index to population index; the batch
-// replays the preceding draws of the per-checkpoint RNG stream so its bit
-// picks land exactly where the serial engine's would. Each trial runs
-// inside the containment boundary (see runTrialContained).
-func (w *worker) runBatch(img *ckImage, batch int, popOf []int) stealMsg {
+// golden run. The batch replays the preceding draws of the per-checkpoint
+// RNG stream so its bit picks land exactly where the serial engine's
+// would. Each trial runs inside the containment boundary (see
+// runTrialContained).
+func (w *worker) runBatch(img *ckImage, batch int, lay *trialLayout) stealMsg {
 	m := w.m
 	w.g = img.golden
-	start := batch * w.cfg.TrialBatch
-	end := start + w.cfg.TrialBatch
-	if end > len(popOf) {
-		end = len(popOf)
-	}
+	popOf := lay.popOf
+	start, end := lay.span(batch)
 
 	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, img.ck)))
 	for i := 0; i < start; i++ {
@@ -347,30 +359,29 @@ func (w *worker) runBatch(img *ckImage, batch int, popOf []int) stealMsg {
 
 // runStealWorker is one pool worker's life: take a unit, materialize its
 // checkpoint, run it, report, repeat until the pool drains.
-func runStealWorker(id int, cfg Config, newMachine func() *uarch.Machine, horizonG uint64, p *stealPool, popOf []int, prior *priorUnits, out chan<- stealMsg) {
-	sw := &stealWorker{w: newWorker(cfg, newMachine(), horizonG)}
+func runStealWorker(id int, cfg Config, newMachine func() *uarch.Machine, horizonG uint64, p *stealPool, lay *trialLayout, prior *priorUnits, out chan<- stealMsg) {
+	w := newWorker(cfg, newMachine(), horizonG)
 	for {
 		u, ok := p.take(id)
 		if !ok {
 			return
 		}
-		sw.ensureAt(u.img)
+		w.ensureAt(u.img)
 		if u.batch < 0 {
-			g, validInsns := sw.w.golden()
-			proof := sw.w.computeProof(g)
+			g, validInsns := w.golden()
+			proof := w.computeProof(g)
 			strata := provenStrata(proof, u.img.ck, cfg.Populations)
-			err := sw.w.crossCheck(proof, u.img.ck)
+			err := w.crossCheck(proof, u.img.ck)
 			var batches []int
 			if err == nil {
-				nb := (len(popOf) + cfg.TrialBatch - 1) / cfg.TrialBatch
-				batches = missingBatches(prior, u.img.ck, len(popOf), cfg.TrialBatch, nb)
+				batches = missingBatches(prior, u.img.ck, lay)
 			}
 			// On a cross-check failure no batches are published: the image
 			// leaves the pool immediately and the aggregator aborts it.
 			p.publish(id, u.img, g, proof, validInsns, batches)
 			out <- stealMsg{ck: u.img.ck, head: true, validInsns: validInsns, proven: strata, err: err}
 		} else {
-			msg := sw.w.runBatch(u.img, u.batch, popOf)
+			msg := w.runBatch(u.img, u.batch, lay)
 			p.finishBatch(u.img)
 			out <- msg
 		}
@@ -379,19 +390,9 @@ func runStealWorker(id int, cfg Config, newMachine func() *uarch.Machine, horizo
 
 // runSteal is the two-phase campaign engine.
 func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, horizonG uint64, res *Result, prior *priorUnits, jw *campaignJournal) (*Result, error) {
-	// Flat trial layout: index i of a checkpoint's trial sequence belongs
-	// to population popOf[i]. Shared, read-only.
-	totalPerCk := 0
-	for _, p := range cfg.Populations {
-		totalPerCk += p.Trials
-	}
-	popOf := make([]int, 0, totalPerCk)
-	for pi, p := range cfg.Populations {
-		for t := 0; t < p.Trials; t++ {
-			popOf = append(popOf, pi)
-		}
-	}
-	batches := (totalPerCk + cfg.TrialBatch - 1) / cfg.TrialBatch
+	popStart := popStarts(&cfg)
+	totalPerCk := popStart[len(popStart)-1]
+	lay := newTrialLayout(&cfg)
 
 	// Journal-complete checkpoints never enter the pool: the pilot steps
 	// through them without capturing an image.
@@ -401,7 +402,7 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 	}
 
 	nw := cfg.Workers
-	if maxUnits := len(cycles) * (1 + batches); nw > maxUnits {
+	if maxUnits := len(cycles) * (1 + lay.batches); nw > maxUnits {
 		nw = maxUnits
 	}
 	if nw < 1 {
@@ -409,7 +410,7 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 	}
 
 	guard := &engineGuard{}
-	pool := newStealPool(nw, cfg.MaxImages)
+	pool := newStealPool(nw, cmp.Or(cfg.maxImages, 2*cfg.Workers+2))
 	msgCh := make(chan stealMsg, 2*nw)
 
 	// Cancellation watcher: a cancelled context aborts the pool, which
@@ -430,7 +431,7 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 		go func() {
 			defer wg.Done()
 			defer guard.capture("steal worker", pool.abort)
-			runStealWorker(i, cfg, newMachine, horizonG, pool, popOf, prior, msgCh)
+			runStealWorker(i, cfg, newMachine, horizonG, pool, lay, prior, msgCh)
 		}()
 	}
 	go func() {
@@ -457,7 +458,7 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 		done       bool
 	}
 	aggs := make([]ckAgg, len(cycles))
-	prog := newProgressTracker(cfg, len(cycles))
+	prog := newProgressTracker(cfg.OnProgress, len(cycles), totalPerCk)
 	for ck := range aggs {
 		a := &aggs[ck]
 		if prior.completeCk(ck) {
@@ -470,12 +471,8 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 			prog.add(totalPerCk, true)
 			continue
 		}
-		for b := 0; b < batches; b++ {
-			start := b * cfg.TrialBatch
-			end := start + cfg.TrialBatch
-			if end > totalPerCk {
-				end = totalPerCk
-			}
+		for b := 0; b < lay.batches; b++ {
+			start, end := lay.span(b)
 			if !prior.covered(ck, start, end) {
 				continue
 			}
@@ -527,7 +524,6 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 		return nil, oracleErr
 	}
 
-	popStart := popStarts(&cfg)
 	for ck := range aggs {
 		a := &aggs[ck]
 		if !a.done {

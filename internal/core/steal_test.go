@@ -41,14 +41,14 @@ func resultsEqual(t *testing.T, name string, a, b *Result) {
 }
 
 // TestTrialBatchInvariance: the batch size is a scheduling knob, never a
-// semantic one — any TrialBatch must yield the identical Result, including
+// semantic one — any trial batch size must yield the identical Result, including
 // a batch larger than a checkpoint's whole trial count.
 func TestTrialBatchInvariance(t *testing.T) {
 	var base *Result
 	for _, batch := range []int{1, 3, 1000} {
 		cfg := stealTestConfig()
 		cfg.Workers = 4
-		cfg.TrialBatch = batch
+		cfg.trialBatch = batch
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMaxImagesBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MaxImages = 1
+	cfg.maxImages = 1
 	clamped, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +177,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no-workload", func(c *Config) { c.Workload = nil }, "workload"},
 		{"negative-checkpoints", func(c *Config) { c.Checkpoints = -1 }, "Checkpoints"},
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
-		{"negative-locked", func(c *Config) { c.LockedCycles = -1 }, "LockedCycles"},
-		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
-		{"negative-batch", func(c *Config) { c.TrialBatch = -2 }, "TrialBatch"},
-		{"negative-images", func(c *Config) { c.MaxImages = -3 }, "MaxImages"},
 		{"empty-pop-name", func(c *Config) { c.Populations[0].Name = "" }, "name"},
 		{"dup-pop-name", func(c *Config) { c.Populations[1].Name = "l+r" }, "duplicate"},
 		{"negative-trials", func(c *Config) { c.Populations[0].Trials = -4 }, "Trials"},

@@ -18,11 +18,7 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"no-workload", func(c *Config) { c.Workload = nil }, "Workload"},
 		{"negative-checkpoints", func(c *Config) { c.Checkpoints = -1 }, "Checkpoints"},
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
-		{"negative-locked", func(c *Config) { c.LockedCycles = -1 }, "LockedCycles"},
-		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
 		{"negative-workers", func(c *Config) { c.Workers = -2 }, "Workers"},
-		{"negative-batch", func(c *Config) { c.TrialBatch = -1 }, "TrialBatch"},
-		{"negative-images", func(c *Config) { c.MaxImages = -1 }, "MaxImages"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},
 		{"unnamed-population", func(c *Config) { c.Populations[0].Name = "" }, "Populations"},
 		{"duplicate-population", func(c *Config) { c.Populations[1].Name = c.Populations[0].Name }, "Populations"},
@@ -59,8 +55,8 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg.Checkpoints = 0
 	cfg.Horizon = 0
 	cfg.Workers = 0
-	cfg.TrialBatch = 0
-	cfg.MaxImages = 0
+	cfg.trialBatch = 0
+	cfg.maxImages = 0
 	cfg.TrialTimeout = 0
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate rejected a defaults-only config: %v", err)
